@@ -17,7 +17,7 @@ for spec in ("zero", "constant:0.5", "decay:1:1"):
 # its Gram over equispaced circle nodes is the identity on the nose
 basis = alpha_family("zero").build(20)
 nodes = np.exp(2j * np.pi * np.arange(256) / 256)
-vals = np.array([np.polyval(p.coeffs[::-1], nodes) for p in basis.phis])
+vals = np.array([basis.values_at(z)[0] for z in nodes]).T  # row k: phi_k
 gram = vals @ vals.conj().T / nodes.size
 print(f"\nfree Gram over 256 flat nodes: max |G - I| = "
       f"{np.max(np.abs(gram - np.eye(21))):.3e}")
@@ -28,7 +28,7 @@ w = WeightSpec.generalized_jacobi([np.pi], [1.0])
 basis = szego_build(levinson_verblunsky(moments_from_weight(w, 24)), 20)
 theta = 2 * np.pi * np.arange(4096) / 4096
 nodes = np.exp(1j * theta)
-vals = np.array([np.polyval(p.coeffs[::-1], nodes) for p in basis.phis])
+vals = np.array([basis.values_at(z)[0] for z in nodes]).T
 wts = w.evaluate(theta)
 gram = (vals * wts) @ vals.conj().T / wts.sum()
 print("== weight:jacobi:pi:1")

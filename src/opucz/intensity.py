@@ -22,8 +22,8 @@ with, writing D = K(z,z) K(w,w) - |K(z,w)|^2,
                 + K(z,z) conj(K01(w,z)) K01(w,w)] / D^(3/2).
 
 The same quantity is also the permanental form Perm(C - B^H A^{-1} B) /
-(pi^2 det A) on the 2x2 kernel blocks A = [K], B = [K01], C = [K11];
-rho2_n_matrix keeps that second route alive as an independent cross-check.
+(pi^2 det A) on the 2x2 kernel blocks A = [K], B = [K01], C = [K11]; the
+tests keep that second route as an independent cross-check.
 
 As n grows (for coefficient families in the ratio-asymptotics regime) the
 intensities approach basis-independent limits off the unit circle:
@@ -121,33 +121,6 @@ def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
     fzw, gzw = _fg(kzz, kww, kzw, kwz, D)
     fwz, gwz = _fg(kww, kzz, kwz, kzw, D)
     val = (fzw * fwz + (gzw * gwz).real) / math.pi**2
-    return IntensityValue(float(val), n)
-
-
-def rho2_n_matrix(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
-    """Permanental route: Perm(C - B^H A^{-1} B) / (pi^2 det A).
-
-    Independent recombination of the same kernel blocks; kept separate from
-    rho2_n so the two derivations check each other.
-    """
-    if n is None:
-        n = max(1, basis.order - 1)
-    if n < 1:
-        raise UsageError("intensity needs degree >= 1")
-    z = complex(z)
-    w = complex(w)
-    if abs(z - w) < PAIR_COINCIDENCE:
-        return IntensityValue(0.0, n)
-    kzz, kww, kzw, kwz = _pair_kernels(basis, z, w, n)
-    if kzz.K.real * kww.K.real - abs(kzw.K) ** 2 <= 0.0:
-        return IntensityValue(0.0, n)
-    A = np.array([[kzz.K, kzw.K], [kwz.K, kww.K]])
-    B = np.array([[kzz.K01, kzw.K01], [kwz.K01, kww.K01]])
-    C = np.array([[kzz.K11, kzw.K11], [kwz.K11, kww.K11]])
-    M = C - B.conj().T @ np.linalg.solve(A, B)
-    perm = M[0, 0] * M[1, 1] + M[0, 1] * M[1, 0]
-    det = np.linalg.det(A)
-    val = perm.real / (math.pi**2 * det.real)
     return IntensityValue(float(val), n)
 
 

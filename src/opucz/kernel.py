@@ -20,8 +20,7 @@ where phi = phi_{n+1}, phi* its reversal, and
     R(z, w) = conj(phi*'(w)) phi*'(z) - conj(phi'(w)) phi'(z).
 
 Both routes take their phi values from the recursion in value space
-(OpucBasis.values_at), never from Horner on the stored monomial coefficients,
-whose growth would drown the sums in cancellation by degree 100.
+(OpucBasis.values_at).
 
 The closed forms break down on the curve z conj(w) = 1; within 1e-8 of it
 kernel_cd refuses and callers fall back to kernel_direct.
@@ -29,7 +28,6 @@ kernel_cd refuses and callers fall back to kernel_direct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,18 +39,11 @@ CD_GUARD = 1e-8
 
 @dataclass
 class KernelEval:
-    """One evaluation of the three kernels at a point pair.
-
-    S and R are the degree-(n+1) bilinear forms entering the closed-form
-    route; they are None when the basis does not hold degree n+1.
-    """
+    """One evaluation of the three kernels at a point pair, at order n."""
 
     K: complex
     K01: complex
     K11: complex
-    S: Optional[complex]
-    R: Optional[complex]
-    at: Tuple[complex, complex]
     order: int
 
 
@@ -65,33 +56,15 @@ def _resolve_order(basis: OpucBasis, n, need_next: bool) -> int:
     return n
 
 
-def _sr_from_values(vz, vw):
-    pz, psz, dpz, dpsz = vz
-    pw, psw, dpw, dpsw = vw
-    S = np.conj(dpsw) * psz - np.conj(dpw) * pz
-    R = np.conj(dpsw) * dpsz - np.conj(dpw) * dpz
-    Swz = np.conj(dpsz) * psw - np.conj(dpz) * pw
-    return S, R, Swz
-
-
 def kernel_direct(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     """Term-by-term sums over phi_0..phi_n.  Valid everywhere."""
     n = _resolve_order(basis, n, need_next=False)
-    z = complex(z)
-    w = complex(w)
-    has_next = n + 1 <= basis.order
-    m = n + 1 if has_next else n
-    pz, psz, dpz, dpsz = basis.values_at(z, upto=m, derivs=True)
-    pw, psw, dpw, dpsw = basis.values_at(w, upto=m, derivs=True)
-    sl = slice(0, n + 1)
-    K = np.dot(pz[sl], np.conj(pw[sl]))
-    K01 = np.dot(pz[sl], np.conj(dpw[sl]))
-    K11 = np.dot(dpz[sl], np.conj(dpw[sl]))
-    S = R = None
-    if has_next:
-        S, R, _ = _sr_from_values(
-            (pz[m], psz[m], dpz[m], dpsz[m]), (pw[m], psw[m], dpw[m], dpsw[m]))
-    return KernelEval(complex(K), complex(K01), complex(K11), S, R, (z, w), n)
+    pz, _, dpz, _ = basis.values_at(complex(z), upto=n, derivs=True)
+    pw, _, dpw, _ = basis.values_at(complex(w), upto=n, derivs=True)
+    K = np.dot(pz, np.conj(pw))
+    K01 = np.dot(pz, np.conj(dpw))
+    K11 = np.dot(dpz, np.conj(dpw))
+    return KernelEval(complex(K), complex(K01), complex(K11), n)
 
 
 def kernel_cd(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
@@ -110,8 +83,10 @@ def kernel_cd(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     m = n + 1
     pz, psz, dpz, dpsz = (v[m] for v in basis.values_at(z, upto=m, derivs=True))
     pw, psw, dpw, dpsw = (v[m] for v in basis.values_at(w, upto=m, derivs=True))
-    S, R, Swz = _sr_from_values((pz, psz, dpz, dpsz), (pw, psw, dpw, dpsw))
+    S = np.conj(dpsw) * psz - np.conj(dpw) * pz
+    R = np.conj(dpsw) * dpsz - np.conj(dpw) * dpz
+    Swz = np.conj(dpsz) * psw - np.conj(dpz) * pw
     K = (np.conj(psw) * psz - np.conj(pw) * pz) / u
     K01 = (S + z * K) / u
     K11 = (R * u + z * np.conj(Swz) + np.conj(w) * S + (1.0 + z * np.conj(w)) * K) / u**2
-    return KernelEval(complex(K), complex(K01), complex(K11), S, R, (z, w), n)
+    return KernelEval(complex(K), complex(K01), complex(K11), n)

@@ -21,7 +21,6 @@ import multiprocessing as _mp
 
 import numpy as np
 
-from .cpoly import ComplexPoly
 from .errors import (
     BoundaryProximity,
     DegenerateLeadingCoefficient,
@@ -86,11 +85,10 @@ def coeff_model(name: str) -> CoeffModel:
     return CoeffModel(canon)
 
 
-def sample_poly(basis: OpucBasis, model: CoeffModel, trial_seed: int) -> ComplexPoly:
-    """One random combination sum eta_k phi_k, k = 0..basis.order."""
+def sample_poly(basis: OpucBasis, model: CoeffModel, trial_seed: int) -> np.ndarray:
+    """The coefficients eta_0..eta_n of one random combination sum eta_k phi_k."""
     rng = np.random.Generator(np.random.Philox(key=trial_seed & _M64))
-    eta = model.draw(rng, basis.order + 1)
-    return ComplexPoly(eta @ basis.coeff_matrix)
+    return model.draw(rng, basis.order + 1)
 
 
 @dataclass
@@ -113,9 +111,9 @@ class EnsembleStats:
 
 
 def _count_one(basis, model, region, seed, t) -> Optional[int]:
-    p = sample_poly(basis, model, trial_seed(seed, t))
+    eta = sample_poly(basis, model, trial_seed(seed, t))
     try:
-        return count_in_region(roots(p), region)
+        return count_in_region(roots(basis, eta), region)
     except (NoConvergence, DegenerateLeadingCoefficient):
         return None
 
@@ -162,9 +160,9 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     for t in range(0, trials, AUDIT_STRIDE):
         if raw[t] is None:
             continue
-        p = sample_poly(basis, model, trial_seed(seed, t))
+        eta = sample_poly(basis, model, trial_seed(seed, t))
         try:
-            check = count_by_argument_principle(p, region)
+            check = count_by_argument_principle(basis, eta, region)
         except BoundaryProximity:
             flagged += 1
             continue

@@ -4,26 +4,30 @@ A basis is generated from its recurrence coefficients (alpha_0, alpha_1, ...),
 each of modulus < 1, by the forward recursion
 
     phi_{j+1}(z) = (z phi_j(z) - conj(alpha_j) phi_j*(z)) / sqrt(1 - |alpha_j|^2)
+    phi_{j+1}*(z) = (phi_j*(z) - alpha_j z phi_j(z)) / sqrt(1 - |alpha_j|^2)
 
-starting from phi_0 = 1, where phi_j* is the degree-j coefficient reversal of
+starting from phi_0 = phi_0* = 1, where phi_j* is the degree-j reversal of
 phi_j.  The leading coefficient of phi_k is
 
     kappa_k = prod_{j<k} (1 - |alpha_j|^2)^(-1/2),
 
-a nondecreasing sequence with kappa_0 = 1.  Bases can also be produced from a
-weight on [0, 2pi): trigonometric moments are computed by adaptive trapezoid
-quadrature and the coefficients are read off a Levinson-style recursion on the
-monic polynomials.  alpha identically zero reproduces the monomials z^k.
+a nondecreasing sequence with kappa_0 = 1.  A basis is held only as its
+coefficients: the recursion is run on values at the points where they are
+needed, never on monomial coefficients, which for constant families reach
+1e21 by degree 100 and lose every digit to cancellation.  Bases can also be
+produced from a weight on [0, 2pi): trigonometric moments are computed by
+adaptive trapezoid quadrature and the coefficients are read off a
+Levinson-style recursion on the monic polynomials.  alpha identically zero
+reproduces the monomials z^k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .cpoly import ComplexPoly, eval_poly, derivative, star
 from .errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
@@ -50,54 +54,21 @@ def _check_alphas(alphas) -> np.ndarray:
 
 @dataclass
 class OpucBasis:
-    """Orthonormal basis phi_0..phi_n with its reversals and bookkeeping.
+    """Orthonormal basis phi_0..phi_n, held as its recurrence coefficients
+    alpha_0..alpha_{n-1} and the leading coefficients kappa_0..kappa_n."""
 
-    coeff_matrix row k holds the coefficients of phi_k padded to order+1
-    columns, so a random combination sum eta_k phi_k has monomial
-    coefficients eta @ coeff_matrix.
-    """
-
-    phis: list
-    phistars: list
     kappas: np.ndarray
     alphas: np.ndarray
-    _dphis: Optional[list] = field(default=None, repr=False)
-    _dphistars: Optional[list] = field(default=None, repr=False)
-    _coeff_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.phis) - 1
-
-    @property
-    def dphis(self) -> list:
-        if self._dphis is None:
-            self._dphis = [derivative(p) for p in self.phis]
-        return self._dphis
-
-    @property
-    def dphistars(self) -> list:
-        if self._dphistars is None:
-            self._dphistars = [derivative(p) for p in self.phistars]
-        return self._dphistars
-
-    @property
-    def coeff_matrix(self) -> np.ndarray:
-        if self._coeff_matrix is None:
-            m = np.zeros((self.order + 1, self.order + 1), dtype=np.complex128)
-            for k, p in enumerate(self.phis):
-                m[k, : k + 1] = p.coeffs
-            self._coeff_matrix = m
-        return self._coeff_matrix
+        return self.alphas.size
 
     def values_at(self, z: complex, upto: int = None, derivs: bool = False):
         """phi_j(z) and phi_j*(z) for j = 0..upto, by recursion in value space.
 
-        Monomial coefficients of phi_j can dwarf the polynomial's value by
-        many orders of magnitude (constant families reach 1e21 by degree 100),
-        so Horner on the stored coefficients loses everything to cancellation.
-        Running the recursion on values at the point is O(upto) and stable.
-        Returns (phi, phistar) or, with derivs, (phi, phistar, dphi, dphistar).
+        O(upto) and stable.  Returns (phi, phi*) or, with derivs,
+        (phi, phi*, phi', phi*').
         """
         m = self.order if upto is None else upto
         if m < 0 or m > self.order:
@@ -133,34 +104,56 @@ def szego_build(alphas, n: int) -> OpucBasis:
     if a.size < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {a.size}")
     a = a[:n]
-
-    phis = [ComplexPoly(np.ones(1))]
-    stars = [ComplexPoly(np.ones(1))]
     kappas = [1.0]
-    for j in range(n):
-        norm = math.sqrt(1.0 - abs(a[j]) ** 2)
-        prev = phis[j].coeffs
-        nxt = np.zeros(j + 2, dtype=np.complex128)
-        nxt[1:] = prev                      # z * phi_j
-        nxt[: j + 1] -= np.conj(a[j]) * stars[j].coeffs
-        nxt /= norm
-        phis.append(ComplexPoly(nxt))
-        stars.append(star(phis[-1]))
-        kappas.append(kappas[-1] / norm)
-    return OpucBasis(phis, stars, np.asarray(kappas, dtype=float), a)
+    for aj in a:
+        kappas.append(kappas[-1] / math.sqrt(1.0 - abs(aj) ** 2))
+    return OpucBasis(np.asarray(kappas), a)
 
 
-def kappa_product(alphas, k: int) -> float:
-    """Leading coefficient kappa_k from the product formula."""
-    a = _check_alphas(alphas)
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    if a.size < k:
-        raise InsufficientCoefficients(f"need {k} coefficients, got {a.size}")
-    out = 1.0
-    for j in range(k):
-        out /= math.sqrt(1.0 - abs(a[j]) ** 2)
-    return out
+def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False):
+    """P = sum_k eta_k phi_k at every point of z, by the value recursion.
+
+    Returns (P, scale) or, with derivs, (P, P', scale), where
+    scale = sum_k |eta_k| |phi_k(z)|, so |P| / scale is the backward error
+    of z as a root relative to eta.  Where |z| > 1 the recursion carries
+    phi_j / z^j and phi_j* / z^j instead, and all three results come back
+    divided by z^n (the scale by |z|^n): the ratios P/P' and |P|/scale are
+    unchanged, and nothing overflows however large |z| is.
+    """
+    eta = np.asarray(eta, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    if eta.size != basis.order + 1:
+        raise UsageError(f"{eta.size} coefficients for a degree-{basis.order} basis")
+    out = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
+    zw = np.where(out, 1.0, z)
+    aw = np.abs(w)
+    f = np.ones_like(z)       # phi_j w^j
+    g = np.ones_like(z)       # phi_j* w^j
+    p = np.full_like(z, eta[0])
+    scale = np.full(z.shape, abs(eta[0]))
+    if derivs:
+        df = np.zeros_like(z)  # phi_j' w^j
+        dg = np.zeros_like(z)  # phi_j*' w^j
+        dp = np.zeros_like(z)
+    a = basis.alphas
+    norms = np.sqrt(1.0 - np.abs(a) ** 2)
+    # Python scalars: numpy scalar arithmetic would dominate the loop
+    for aj, norm, ej in zip(a.tolist(), norms.tolist(), eta[1:].tolist()):
+        caj = aj.conjugate()
+        zf = zw * f
+        if derivs:
+            d = w * f + zw * df
+            wdg = w * dg
+            df, dg = (d - caj * wdg) / norm, (wdg - aj * d) / norm
+            dp = w * dp + ej * df
+        wg = w * g
+        f, g = (zf - caj * wg) / norm, (wg - aj * zf) / norm
+        p = w * p + ej * f
+        scale = aw * scale + abs(ej) * np.abs(f)
+    if derivs:
+        return p, dp, scale
+    return p, scale
 
 
 @dataclass
@@ -182,11 +175,8 @@ def regularity_report(basis: OpucBasis) -> RegularityReport:
     if n < 1:
         raise UsageError("report needs a basis of degree >= 1")
     eps = np.array([math.log(basis.kappas[k]) / k for k in range(1, n + 1)])
-    prox = np.empty(n)
-    for k in range(1, n + 1):
-        num = eval_poly(basis.phis[k], _PROBES)
-        den = eval_poly(basis.phistars[k], _PROBES)
-        prox[k - 1] = np.max(np.abs(num / den))
+    phi, ps = np.array([basis.values_at(z) for z in _PROBES]).transpose(1, 0, 2)
+    prox = np.max(np.abs(phi[:, 1:] / ps[:, 1:]), axis=0)
     return RegularityReport(eps, prox)
 
 

@@ -1,9 +1,11 @@
-"""Zeros of a polynomial and how many land in a region.
+"""Zeros of a combination P = sum_k eta_k phi_k and how many land in a region.
 
-Two independent counting routes:
+Two independent counting routes, both working in the basis itself:
 
-  * roots + count_in_region: balanced companion-matrix eigenvalues, polished
-    by a few Newton steps, then a point-in-region test on each root.
+  * roots + count_in_region: eigenvalues of the comrade matrix of P (the
+    GGT matrix of multiplication by z, changed by rank one), certified
+    against eta and polished by a few Newton steps where needed, then a
+    point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on each smooth arc.  The result must land within 0.1 of an
@@ -24,17 +26,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cpoly import ComplexPoly
 from .errors import (
     BoundaryProximity,
     DegenerateLeadingCoefficient,
     NoConvergence,
     UsageError,
 )
+from .opuc import OpucBasis, eval_poly
 
 DEGENERATE_LEAD = 1e-300
 RESIDUAL_SCALE = 1e-8
 NEWTON_STEPS = 5
+STEP_ULPS = 8
 INTEGER_SLACK = 0.1
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -66,16 +69,16 @@ class Region:
                 f"sector needs 0 <= alpha < beta <= 2 pi, got {alpha}, {beta}")
         return Region("sector", (float(r), float(alpha), float(beta)))
 
-    def contains(self, z: complex) -> bool:
-        az = abs(z)
+    def contains(self, z) -> np.ndarray:
+        """Membership of every point of z (an array of the same shape)."""
+        z = np.asarray(z, dtype=np.complex128)
+        az = np.abs(z)
         if self.kind == "annulus":
             s, t = self.params
-            return (s < az < t) if s > 0 else (az < t)
+            return (s < az) & (az < t) if s > 0 else az < t
         r, alpha, beta = self.params
-        if not (r < az < 1.0 / r):
-            return False
-        ang = math.atan2(z.imag, z.real) % (2 * math.pi)
-        return alpha <= ang < beta
+        ang = np.arctan2(z.imag, z.real) % (2 * math.pi)
+        return (r < az) & (az < 1.0 / r) & (alpha <= ang) & (ang < beta)
 
     def angular_fraction(self) -> Optional[float]:
         if self.kind != "sector":
@@ -121,112 +124,116 @@ class Region:
 
 @dataclass
 class ZeroSet:
-    """Roots of one polynomial with their post-polish residuals.
+    """Roots of one combination with their backward errors.
 
-    Each residual is a backward-error score on the coefficient scale:
-    |P(z)| divided by sum_k |c_k| |z|^k / max|c| (floored at 1).  At
-    roundoff level it certifies the root is exact for a negligibly
-    perturbed coefficient set; raw |P(z)| would be meaningless for
-    large-modulus roots, where evaluation alone costs eps * sum |c_k||z|^k.
+    Each residual is the backward error of the root relative to eta:
+    |P(z)| / sum_k |eta_k| |phi_k(z)|, the smallest relative change of the
+    coefficients that makes z an exact root.  A root is certified on one
+    of two grounds:
+
+      * its residual is at most 1e-8 (RESIDUAL_SCALE); or
+      * its last Newton correction |P(z)/P'(z)| is at most 8 ulps of
+        max(1, |z|) (STEP_ULPS): z is the double nearest a root that no
+        double reaches.  This happens where P changes by a large relative
+        amount within one ulp, as at the mass point z = 1 of constant
+        families with |alpha + 1/2| > 1/2, whose residuals there stay
+        between 1e-3 and 1.
     """
 
     roots: np.ndarray
     residuals: np.ndarray
-    poly: ComplexPoly
 
 
-def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
-    """P(z) and P'(z) in one pass, vectorized over z."""
-    p = np.full_like(z, coeffs[-1], dtype=np.complex128)
-    dp = np.zeros_like(z, dtype=np.complex128)
-    for c in coeffs[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _residual(p, scale) -> np.ndarray:
+    return np.divide(np.abs(p), scale, out=np.zeros(scale.shape), where=scale > 0)
 
 
-def _resid_and_step(c: np.ndarray, z: np.ndarray):
-    """Backward-error residual and Newton step at each z, overflow-safe.
+def _newton_step(p, dp) -> np.ndarray:
+    return np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
-    Inside the closed unit disk this is plain Horner.  Outside, P is read
-    through its coefficient reversal Q at u = 1/z (P(z) = z^n Q(u),
-    P'(z) = z^(n-1) (n Q(u) - u Q'(u))), so every intermediate stays
-    bounded by (n+1) max|c| however large |z| is; a naive |z|^n would
-    overflow for far roots of high-degree samples.
+
+def _comrade(basis: OpucBasis, eta: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose eigenvalues are the zeros of sum eta_k phi_k.
+
+    Column l of the GGT matrix G holds z phi_l in the basis phi_0..phi_n:
+    G[k, l] = -conj(alpha_l) alpha_{k-1} rho_k ... rho_{l-1} for k <= l
+    (alpha_{-1} = -1) and G[l+1, l] = rho_l = sqrt(1 - |alpha_l|^2)
+    (Simon, OPUC Vol. 1, 4.1).  Modulo P, phi_n = -sum_{k<n} eta_k phi_k /
+    eta_n, which changes the last column by -rho_{n-1} eta[:n] / eta[n].
+    The matrix is returned index-reversed and transposed, the layout of
+    np.roots' companion matrix, which it equals for alpha = 0.
     """
-    n = c.size - 1
-    scale = float(np.max(np.abs(c)))
-    res = np.empty(z.shape, dtype=float)
-    step = np.empty(z.shape, dtype=np.complex128)
-    inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        zi = z[inner]
-        p, dp = _horner_pair(c, zi)
-        growth = np.polyval(np.abs(c)[::-1], np.abs(zi)) / scale
-        res[inner] = np.abs(p) / np.maximum(1.0, growth)
-        step[inner] = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-    if not inner.all():
-        zo = z[~inner]
-        u = 1.0 / zo
-        rev = c[::-1]
-        q, dq = _horner_pair(rev, u)
-        den = n * q - u * dq
-        step[~inner] = np.where(
-            den != 0, zo * q / np.where(den != 0, den, 1.0), 0.0)
-        growth = np.polyval(np.abs(rev)[::-1], np.abs(u)) / scale
-        floor = np.abs(zo) ** (-float(n))  # the 1-clamp, |z|^n removed
-        res[~inner] = np.abs(q) / np.maximum(floor, growth)
-    return res, step
+    a = basis.alphas
+    n = a.size
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    runs = np.cumprod(np.where(upper, np.concatenate(([1.0], rho[:-1])), 1.0), axis=1)
+    prev = np.concatenate(([-1.0], a[:-1]))
+    m = np.triu(-np.outer(prev, np.conj(a)) * runs)
+    m[np.arange(1, n), np.arange(n - 1)] = rho[:-1]
+    m[:, -1] -= rho[-1] * eta[:-1] / eta[-1]
+    return m[::-1, ::-1].T
 
 
-def roots(p: ComplexPoly) -> ZeroSet:
-    """All nominal_degree roots, companion eigenvalues + Newton polish.
+def roots(basis: OpucBasis, eta) -> ZeroSet:
+    """All basis.order roots of sum eta_k phi_k, certified against eta.
 
-    Every backward-error residual must come out at or below 1e-8 times the
-    largest coefficient magnitude; a run that cannot reach that is refused
-    (NoConvergence) instead of returning doubtful roots.
+    Every eigenvalue is certified first; only those above the residual
+    bound get Newton steps, at most NEWTON_STEPS, each kept only if it
+    lowers the residual.  A root that meets neither ground of ZeroSet is
+    refused (NoConvergence) instead of returned doubtful.
     """
-    c = p.coeffs
-    n = p.nominal_degree
-    if n == 0:
-        return ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0), p)
-    scale = float(np.max(np.abs(c)))
-    if abs(c[-1]) <= DEGENERATE_LEAD:
+    eta = np.asarray(eta, dtype=np.complex128)
+    if eta.size != basis.order + 1:
+        raise UsageError(f"{eta.size} coefficients for a degree-{basis.order} basis")
+    if basis.order == 0:
+        return ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0))
+    if abs(eta[-1]) <= DEGENERATE_LEAD:
         raise DegenerateLeadingCoefficient(
-            f"|leading coefficient| = {abs(c[-1]):.3e}")
+            f"|leading coefficient| = {abs(eta[-1]):.3e}")
     try:
-        rts = np.roots(c[::-1])
+        rts = np.linalg.eigvals(_comrade(basis, eta))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"companion eigenvalues failed: {exc}") from None
-    for _ in range(NEWTON_STEPS):
-        res, step = _resid_and_step(c, rts)
-        cand = rts - step
-        cres, _ = _resid_and_step(c, cand)
-        better = cres < res  # a non-finite candidate never wins
-        rts = np.where(better, cand, rts)
-    res, _ = _resid_and_step(c, rts)
-    tol = RESIDUAL_SCALE * scale
-    if not np.all(np.isfinite(res)) or np.any(res > tol):
-        worst = float(np.max(res))
-        raise NoConvergence(f"residual {worst:.3e} above {tol:.3e}")
-    return ZeroSet(rts, res, p)
+        raise NoConvergence(f"comrade eigenvalues failed: {exc}") from None
+    res = _residual(*eval_poly(basis, eta, rts))
+    bad = ~(res <= RESIDUAL_SCALE)  # a non-finite residual is bad too
+    if np.any(bad):
+        z = rts[bad]
+        p, dp, scale = eval_poly(basis, eta, z, derivs=True)
+        r, step = _residual(p, scale), _newton_step(p, dp)
+        for _ in range(NEWTON_STEPS):
+            cand = z - step
+            p, dp, scale = eval_poly(basis, eta, cand, derivs=True)
+            cres = _residual(p, scale)
+            better = cres < r  # a non-finite candidate never wins
+            z = np.where(better, cand, z)
+            r = np.where(better, cres, r)
+            step = np.where(better, _newton_step(p, dp), step)
+        tiny = np.abs(step) <= STEP_ULPS * np.spacing(np.maximum(1.0, np.abs(z)))
+        if not np.all((r <= RESIDUAL_SCALE) | tiny):
+            worst = float(np.max(np.where(tiny, 0.0, r)))
+            raise NoConvergence(f"residual {worst:.3e} above {RESIDUAL_SCALE:.0e}"
+                                " and Newton correction above "
+                                f"{STEP_ULPS} ulps")
+        rts[bad] = z
+        res[bad] = r
+    return ZeroSet(rts, res)
 
 
 def count_in_region(zs: ZeroSet, region: Region) -> int:
-    return int(sum(1 for z in zs.roots if region.contains(complex(z))))
+    return int(np.count_nonzero(region.contains(zs.roots)))
 
 
-def _panel_integrals(coeffs: np.ndarray, g, dg, a, b):
+def _panel_integrals(basis: OpucBasis, eta: np.ndarray, g, dg, a, b):
     h = (b - a)[:, None]
     t = a[:, None] + h * (0.5 * (_GL_NODES[None, :] + 1.0))
-    zt = g(t)
-    val, dval = _horner_pair(coeffs, zt)
+    val, dval, _ = eval_poly(basis, eta, g(t), derivs=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = dval / val * dg(t) * (0.5 * h) * _GL_WEIGHTS[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-def _arc_integral(coeffs: np.ndarray, g, dg):
+def _arc_integral(basis: OpucBasis, eta: np.ndarray, g, dg):
     # breadth-first local refinement: a panel is accepted once splitting it
     # stops moving its estimate, so a pole at distance d from the arc costs
     # log(1/d) subdivisions instead of the 1/d a uniform grid would need.
@@ -235,12 +242,12 @@ def _arc_integral(coeffs: np.ndarray, g, dg):
     # would keep panels churning forever.
     a = np.linspace(0.0, 1.0, 9)[:-1]
     b = a + 0.125
-    whole, _ = _panel_integrals(coeffs, g, dg, a, b)
+    whole, _ = _panel_integrals(basis, eta, g, dg, a, b)
     total = 0.0 + 0.0j
     for _ in range(_MAX_DEPTH):
         mid = 0.5 * (a + b)
-        left, scale_l = _panel_integrals(coeffs, g, dg, a, mid)
-        right, scale_r = _panel_integrals(coeffs, g, dg, mid, b)
+        left, scale_l = _panel_integrals(basis, eta, g, dg, a, mid)
+        right, scale_r = _panel_integrals(basis, eta, g, dg, mid, b)
         err = np.abs(whole - (left + right))
         done = err < np.maximum(_PANEL_TOL, 1e-13 * (scale_l + scale_r))
         total += np.sum(left[done]) + np.sum(right[done])
@@ -255,22 +262,23 @@ def _arc_integral(coeffs: np.ndarray, g, dg):
     return complex(total + np.sum(whole)), False
 
 
-def count_by_argument_principle(p: ComplexPoly, region: Region) -> int:
-    """Winding of P around the region boundary; refuses non-integer results.
+def count_by_argument_principle(basis: OpucBasis, eta, region: Region) -> int:
+    """Winding of sum eta_k phi_k around the region boundary; refuses
+    non-integer results.
 
     Each smooth arc is integrated by locally adaptive composite
     Gauss-Legendre panels.  A result farther than 0.1 from an integer, or
     panels that never stabilize, raise BoundaryProximity -- the signal that
     a zero sits essentially on the boundary.
     """
-    c = p.coeffs
-    if abs(c[-1]) <= DEGENERATE_LEAD:
+    eta = np.asarray(eta, dtype=np.complex128)
+    if abs(eta[-1]) <= DEGENERATE_LEAD:
         raise DegenerateLeadingCoefficient(
-            f"|leading coefficient| = {abs(c[-1]):.3e}")
+            f"|leading coefficient| = {abs(eta[-1]):.3e}")
     total = 0.0 + 0.0j
     settled = True
     for g, dg in region.boundary_arcs():
-        part, ok = _arc_integral(c, g, dg)
+        part, ok = _arc_integral(basis, eta, g, dg)
         total += part
         settled = settled and ok
     w = total / (2j * math.pi)

@@ -16,7 +16,7 @@ from opucz.intensity import rho1_n, rho2_limit, rho2_n
 from opucz.kernel import kernel_cd, kernel_direct
 from opucz.mc import coeff_model, convergence_study, run_ensemble, \
     sample_poly, trial_seed
-from opucz.opuc import alpha_family, kappa_product, levinson_verblunsky, \
+from opucz.opuc import alpha_family, levinson_verblunsky, \
     moments_from_weight, szego_build, WeightSpec
 from opucz.errors import BoundaryProximity
 from opucz.varlim import var_limit_closed, var_limit_quadrature, \
@@ -165,12 +165,12 @@ def test_criterion_08_zero_count_oracles():
     agree = flagged = 0
     trials = 1000
     for t in range(trials):
-        p = sample_poly(basis, GAUSS, trial_seed(7, t))
-        zs = roots(p)
+        eta = sample_poly(basis, GAUSS, trial_seed(7, t))
+        zs = roots(basis, eta)
         assert sum(count_in_region(zs, q) for q in parts) == 40
         want = count_in_region(zs, reg)
         try:
-            got = count_by_argument_principle(p, reg)
+            got = count_by_argument_principle(basis, eta, reg)
         except BoundaryProximity:
             flagged += 1
             continue
@@ -199,26 +199,29 @@ def test_criterion_10_basis_correctness():
     b = szego_build(np.zeros(20), 20)
     theta = 2 * np.pi * np.arange(512) / 512
     nodes = np.exp(1j * theta)
-    vals = np.array([np.polyval(phi.coeffs[::-1], nodes) for phi in b.phis])
+    vals = np.array([b.values_at(z)[0] for z in nodes]).T
     gram = vals @ vals.conj().T / 512
     assert np.max(np.abs(gram - np.eye(21))) < 1e-10
 
-    # weight-derived Gram against its own converged moments
+    # weight-derived Gram against its own converged moments; the coefficient
+    # rows come from an FFT of the values on 16 roots of unity
     w = WeightSpec.generalized_jacobi([math.pi], [1.0])
     c = moments_from_weight(w, 24)
     a = levinson_verblunsky(c)
     bw = szego_build(a, 10)
     mu = np.concatenate([c[::-1], np.conj(c[1:])])
     M = np.array([[mu[24 + i - j] for j in range(11)] for i in range(11)])
-    P = bw.coeff_matrix
+    roots16 = np.exp(2j * np.pi * np.arange(16) / 16)
+    vals16 = np.array([bw.values_at(z)[0] for z in roots16])
+    P = (np.fft.fft(vals16, axis=0) / 16).T[:, :11]
     assert np.max(np.abs(P @ M @ P.conj().T - np.eye(11))) < 1e-6
 
-    # kappa consistency
+    # kappa consistency with the product formula
     fam = alpha_family("decay:1:1")
     basis = fam.build(50)
     al = fam.alphas(50)
     for k in range(51):
-        want = kappa_product(al, k)
+        want = float(np.prod(1.0 / np.sqrt(1.0 - np.abs(al[:k]) ** 2)))
         assert abs(basis.kappas[k] - want) <= 1e-12 * want
 
     # Levinson round trip on the flat moment sequence

@@ -128,6 +128,17 @@ def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
     assert s3["config"]["threads"] == 3
 
 
+def test_simulate_mass_point_family(tmp_path, capsys):
+    # constant:0.5 puts a root within ulps of z = 1 in every sample; each
+    # must be certified, or the ensemble would exceed its exclusion budget
+    code, _, err = run(capsys, "simulate", "--alphas", "constant:0.5", "--n",
+                       "100", "--region", "annulus:0:0.5", "--trials", "20",
+                       "--seed", "7", "--out", str(tmp_path / "m"))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "m.summary.json").read_text())
+    assert summary["excluded"] == 0
+
+
 def test_simulate_config_round_trip(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", "--alphas", "constant:0.3", "--n",
                      "10", "--region", "annulus:0:0.7", "--trials", "30",

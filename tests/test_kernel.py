@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opucz.errors import NearDiagonalSingularity, UsageError
-from opucz.kernel import KernelEval, kernel_cd, kernel_direct
+from opucz.kernel import kernel_cd, kernel_direct
 from opucz.opuc import alpha_family, szego_build
 
 FAMILIES = ["zero", "constant:0.5", "decay:1:1"]
@@ -100,15 +100,6 @@ def test_k11_matches_finite_difference_of_k01():
         km = kernel_direct(b, z - h, w, n=15)
         fd = (kp.K01 - km.K01) / (2 * h)
         assert abs(k.K11 - fd) <= 1e-6 * max(1.0, abs(k.K11))
-
-
-def test_sr_present_only_when_next_degree_held():
-    b = szego_build(np.zeros(5), 5)
-    k = kernel_direct(b, 0.3, 0.2, n=5)
-    assert k.S is None and k.R is None
-    k = kernel_direct(b, 0.3, 0.2, n=4)
-    assert k.S is not None and k.R is not None
-    assert isinstance(k, KernelEval)
 
 
 def test_order_bounds_enforced():

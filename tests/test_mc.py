@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import opucz.mc as mc
-from opucz.cpoly import ComplexPoly
 from opucz.errors import ExclusionBudgetExceeded, UsageError
 from opucz.intensity import rho1_n
 from opucz.mc import (
@@ -15,7 +14,7 @@ from opucz.mc import (
     sample_poly,
     trial_seed,
 )
-from opucz.opuc import alpha_family
+from opucz.opuc import alpha_family, eval_poly
 from opucz.zerocount import Region, count_in_region, roots
 
 QUARTER = Region.sector(0.5, 0.0, np.pi / 2)
@@ -26,7 +25,7 @@ def test_same_trial_seed_identical_coeffs():
     model = coeff_model("gaussian")
     a = sample_poly(basis, model, trial_seed(42, 7))
     b = sample_poly(basis, model, trial_seed(42, 7))
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a, b)
 
 
 def test_free_basis_coeffs_equal_draws():
@@ -36,8 +35,12 @@ def test_free_basis_coeffs_equal_draws():
     ts = trial_seed(5, 3)
     rng = np.random.Generator(np.random.Philox(key=ts))
     eta = model.draw(rng, 10)
-    p = sample_poly(basis, model, ts)
-    assert np.array_equal(p.coeffs, eta)
+    got = sample_poly(basis, model, ts)
+    assert np.array_equal(got, eta)
+    z = np.array([0.3 - 0.1j, -0.8j, 1.2 + 0.5j])
+    p, _ = eval_poly(basis, got, z)
+    plain = np.polyval(eta[::-1], z)
+    assert np.allclose(np.where(np.abs(z) > 1, p * z**9, p), plain, rtol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "uniform_disk", "quaternary"])
@@ -104,10 +107,9 @@ def test_scale_invariance_of_counts(c):
     model = coeff_model("gaussian")
     reg = Region.annulus(0.0, 0.7)
     for t in range(25):
-        p = sample_poly(basis, model, trial_seed(31, t))
-        scaled = ComplexPoly(c * p.coeffs)
-        assert count_in_region(roots(p), reg) == \
-            count_in_region(roots(scaled), reg)
+        eta = sample_poly(basis, model, trial_seed(31, t))
+        assert count_in_region(roots(basis, eta), reg) == \
+            count_in_region(roots(basis, c * eta), reg)
 
 
 def test_rotation_symmetry_of_sector_means():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from opucz.cpoly import ComplexPoly, eval_poly
 from opucz.errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
@@ -14,7 +13,7 @@ from opucz.opuc import (
     AlphaFamily,
     WeightSpec,
     alpha_family,
-    kappa_product,
+    eval_poly,
     levinson_verblunsky,
     moments_from_weight,
     read_alpha_file,
@@ -23,22 +22,38 @@ from opucz.opuc import (
 )
 
 SQRT3 = math.sqrt(3.0)
+POINTS = [0.3, -0.7 + 0.2j, 0.5j, 1.0, 1.8 - 0.9j]
+
+
+def _coeff_rows(basis, m):
+    """Monomial coefficients of phi_0..phi_n (row k holds phi_k), read off
+    an FFT of values_at on m roots of unity; exact up to roundoff for n < m."""
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    vals = np.array([basis.values_at(z)[0] for z in nodes])
+    return np.fft.fft(vals, axis=0).T / m
+
+
+def _kappa_product(alphas, k):
+    """Oracle: kappa_k from the product formula."""
+    return float(np.prod(1.0 / np.sqrt(1.0 - np.abs(np.asarray(alphas[:k])) ** 2)))
 
 
 def test_zero_coefficients_give_monomials():
     b = szego_build(np.zeros(12), 12)
-    for k, p in enumerate(b.phis):
-        want = np.zeros(k + 1, dtype=complex)
-        want[k] = 1
-        assert np.array_equal(p.coeffs, want)
-        assert np.array_equal(b.phistars[k].coeffs, want[::-1])
+    for z in POINTS:
+        phi, ps = b.values_at(z)
+        assert np.array_equal(phi, np.cumprod(np.r_[1.0, np.full(12, z)]))
+        assert np.array_equal(ps, np.ones(13))
     assert np.all(b.kappas == 1.0)
 
 
 def test_single_step_by_hand():
     # one recursion step with alpha_0 = 1/2 gives (2z-1)/sqrt(3)
     b = szego_build([0.5], 1)
-    assert b.phis[1].coeffs == pytest.approx([-1 / SQRT3, 2 / SQRT3], abs=1e-15)
+    for z in POINTS:
+        phi, ps = b.values_at(z)
+        assert phi[1] == pytest.approx((2 * z - 1) / SQRT3, abs=1e-15)
+        assert ps[1] == pytest.approx((2 - z) / SQRT3, abs=1e-15)
     assert b.kappas[1] == pytest.approx(2 / SQRT3, abs=1e-15)
 
 
@@ -47,18 +62,39 @@ def test_leading_coefficient_matches_product_formula():
     a = 0.8 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
     a /= np.maximum(1.0, np.abs(a) / 0.95)
     b = szego_build(a, 30)
+    rows = _coeff_rows(b, 32)
     for k in range(31):
-        lead = b.phis[k].coeffs[-1]
-        kp = kappa_product(a, k)
+        lead = rows[k, k]
+        kp = _kappa_product(a, k)
         assert abs(lead - kp) <= 1e-12 * kp
         assert abs(b.kappas[k] - kp) <= 1e-12 * kp
+        assert np.max(np.abs(rows[k, k + 1:])) <= 1e-12 * kp  # degree k
 
 
 def test_kappa_product_frozen_values():
     # product formula by hand: (1 - 1/4)^(-5) = 1024/243
-    assert kappa_product(np.full(10, 0.5), 10) == pytest.approx(1024 / 243, rel=1e-15)
-    assert kappa_product([0.9], 1) == pytest.approx(1 / math.sqrt(0.19), rel=1e-15)
-    assert kappa_product([0.5], 0) == 1.0
+    assert szego_build(np.full(10, 0.5), 10).kappas[10] == \
+        pytest.approx(1024 / 243, rel=1e-15)
+    assert szego_build([0.9], 1).kappas[1] == pytest.approx(1 / math.sqrt(0.19), rel=1e-15)
+    assert np.array_equal(szego_build([0.5], 0).kappas, [1.0])
+
+
+def test_eval_poly_matches_values_at():
+    rng = np.random.default_rng(8)
+    eta = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    z = np.array([0.0, 0.4 - 0.3j, 1.0, -1.0000001j, 1.7 + 0.2j, 40.0])
+    for fam in ("zero", "constant:0.5", "decay:1:1"):
+        b = alpha_family(fam).build(40)
+        p, dp, scale = eval_poly(b, eta, z, derivs=True)
+        assert np.array_equal(eval_poly(b, eta, z), (p, scale))
+        for k, zk in enumerate(z):
+            phi, _, dphi, _ = b.values_at(zk, derivs=True)
+            unscale = zk ** 40 if abs(zk) > 1 else 1.0  # |z| > 1 comes back / z^n
+            want = (eta @ phi, eta @ dphi, np.abs(eta) @ np.abs(phi))
+            mass = (want[2], np.abs(eta) @ np.abs(dphi), want[2])
+            got = (p[k] * unscale, dp[k] * unscale, scale[k] * abs(unscale))
+            for g, w, m in zip(got, want, mass):
+                assert abs(g - w) <= 1e-12 * m
 
 
 def test_kappas_nondecreasing():
@@ -72,7 +108,7 @@ def test_orthonormality_on_circle_free_case():
     b = szego_build(np.zeros(20), 20)
     th = 2 * np.pi * np.arange(512) / 512
     z = np.exp(1j * th)
-    vals = np.array([eval_poly(p, z) for p in b.phis])
+    vals = np.array([b.values_at(zk)[0] for zk in z]).T
     gram = vals @ vals.conj().T / 512
     assert np.max(np.abs(gram - np.eye(21))) < 1e-10
 
@@ -81,7 +117,7 @@ def test_invalid_alpha_rejected():
     with pytest.raises(InvalidVerblunsky):
         szego_build([0.2, 1.0], 2)
     with pytest.raises(InvalidVerblunsky):
-        kappa_product([1.2], 1)
+        szego_build([1.2], 1)
 
 
 def test_too_few_alphas_rejected():
@@ -180,7 +216,7 @@ def test_levinson_szego_roundtrip_gram_identity():
     mu = np.concatenate([c[::-1], np.conj(c[1:])])  # mu_m for m = -24..24
     off = 24
     M = np.array([[mu[off + i - j] for j in range(11)] for i in range(11)])
-    P = b.coeff_matrix
+    P = _coeff_rows(b, 16)[:, :11]
     gram = P @ M @ P.conj().T
     assert np.max(np.abs(gram - np.eye(11))) < 1e-6
 

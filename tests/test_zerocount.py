@@ -1,14 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from opucz.cpoly import ComplexPoly
+import opucz.zerocount as zerocount
 from opucz.errors import (
     BoundaryProximity,
     DegenerateLeadingCoefficient,
+    NoConvergence,
     UsageError,
 )
+from opucz.mc import coeff_model, sample_poly, trial_seed
+from opucz.opuc import alpha_family, eval_poly, szego_build
 from opucz.zerocount import (
     Region,
     count_by_argument_principle,
@@ -17,13 +21,19 @@ from opucz.zerocount import (
 )
 
 
+def _plain(coeffs):
+    """c_0 + c_1 z + ... + c_n z^n as (monomial basis, coefficients)."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    return szego_build(np.zeros(c.size - 1), c.size - 1), c
+
+
 def _free_sample(rng, deg):
     c = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-    return ComplexPoly(c / math.sqrt(2))
+    return _plain(c / math.sqrt(2))
 
 
 def test_cube_roots_of_eight():
-    zs = roots(ComplexPoly([-8, 0, 0, 1]))
+    zs = roots(*_plain([-8, 0, 0, 1]))
     w = 2 * np.exp(2j * np.pi / 3)
     want = sorted([2 + 0j, w, np.conj(w)], key=lambda z: (round(z.real, 9), z.imag))
     got = sorted(zs.roots, key=lambda z: (round(z.real, 9), z.imag))
@@ -33,7 +43,7 @@ def test_cube_roots_of_eight():
 
 
 def test_plus_minus_i():
-    zs = roots(ComplexPoly([1, 0, 1]))
+    zs = roots(*_plain([1, 0, 1]))
     got = sorted(zs.roots, key=lambda z: z.imag)
     assert abs(got[0] + 1j) < 1e-12 and abs(got[1] - 1j) < 1e-12
 
@@ -41,29 +51,27 @@ def test_plus_minus_i():
 def test_random_degree_fifty_residuals():
     rng = np.random.default_rng(77)
     for _ in range(5):
-        p = _free_sample(rng, 50)
-        zs = roots(p)
+        zs = roots(*_free_sample(rng, 50))
         assert len(zs.roots) == 50
-        assert np.max(zs.residuals) <= 1e-8 * np.max(np.abs(p.coeffs))
+        assert np.max(zs.residuals) <= 1e-8
 
 
 def test_roots_at_origin_kept():
     # z^2 (z - 1): trailing zero coefficients mean roots at 0
-    zs = roots(ComplexPoly([0, 0, -1, 1]))
+    zs = roots(*_plain([0, 0, -1, 1]))
     assert len(zs.roots) == 3
     assert np.sum(np.abs(zs.roots) < 1e-12) == 2
 
 
 def test_degenerate_leading_coefficient():
     with pytest.raises(DegenerateLeadingCoefficient):
-        roots(ComplexPoly([1, 2, 1e-310]))
+        roots(*_plain([1, 2, 1e-310]))
 
 
 def test_conjugation_symmetry_real_coefficients():
     rng = np.random.default_rng(31)
     for _ in range(10):
-        p = ComplexPoly(rng.standard_normal(21))
-        zs = roots(p)
+        zs = roots(*_plain(rng.standard_normal(21)))
         rts = list(zs.roots)
         for z in rts:
             dist = min(abs(np.conj(z) - y) for y in rts)
@@ -84,7 +92,7 @@ def test_region_constructors_validate():
 
 
 def test_count_in_region_cube_roots():
-    zs = roots(ComplexPoly([-8, 0, 0, 1]))
+    zs = roots(*_plain([-8, 0, 0, 1]))
     assert count_in_region(zs, Region.annulus(1.5, 2.5)) == 3
     assert count_in_region(zs, Region.annulus(0, 1)) == 0
     # half-open angular bound: the root at arg exactly 2pi/3 is excluded
@@ -92,7 +100,7 @@ def test_count_in_region_cube_roots():
 
 
 def test_disk_includes_origin_root():
-    zs = roots(ComplexPoly([0, 1.0]))
+    zs = roots(*_plain([0, 1.0]))
     assert count_in_region(zs, Region.annulus(0, 0.5)) == 1
     assert count_in_region(zs, Region.annulus(0.1, 0.5)) == 0
 
@@ -101,7 +109,7 @@ def test_sector_partition_adds_up():
     rng = np.random.default_rng(5)
     edges = [0, 1.1, 2.2, 4.0, 2 * math.pi]
     for _ in range(10):
-        zs = roots(_free_sample(rng, 30))
+        zs = roots(*_free_sample(rng, 30))
         full = count_in_region(zs, Region.sector(0.5, 0, 2 * math.pi))
         parts = sum(
             count_in_region(zs, Region.sector(0.5, a, b))
@@ -114,32 +122,31 @@ def test_annulus_partition_completeness():
     regions = [Region.annulus(0, 0.9), Region.annulus(0.9, 1.1),
                Region.annulus(1.1, 1e9)]
     for _ in range(20):
-        zs = roots(_free_sample(rng, 40))
+        zs = roots(*_free_sample(rng, 40))
         assert sum(count_in_region(zs, r) for r in regions) == 40
 
 
 def test_argument_principle_known_counts():
-    p = ComplexPoly([-8, 0, 0, 1])
-    assert count_by_argument_principle(p, Region.annulus(1.5, 2.5)) == 3
-    assert count_by_argument_principle(p, Region.annulus(0, 1)) == 0
-    assert count_by_argument_principle(p, Region.annulus(0, 2.5)) == 3
-    p5 = ComplexPoly([0, 0, 0, 0, 0, 1.0])
-    assert count_by_argument_principle(p5, Region.annulus(0, 0.5)) == 5
+    p = _plain([-8, 0, 0, 1])
+    assert count_by_argument_principle(*p, Region.annulus(1.5, 2.5)) == 3
+    assert count_by_argument_principle(*p, Region.annulus(0, 1)) == 0
+    assert count_by_argument_principle(*p, Region.annulus(0, 2.5)) == 3
+    p5 = _plain([0, 0, 0, 0, 0, 1.0])
+    assert count_by_argument_principle(*p5, Region.annulus(0, 0.5)) == 5
 
 
 def test_argument_principle_sector():
-    p = ComplexPoly([-8, 0, 0, 1])
+    p = _plain([-8, 0, 0, 1])
     # keep the boundary rays away from the roots' arguments
-    assert count_by_argument_principle(p, Region.sector(0.4, 0.5, 1.5)) == 0
-    assert count_by_argument_principle(p, Region.sector(0.4, 1.0, 3.0)) == 1
-    assert count_by_argument_principle(p, Region.sector(0.4, 0.5, 6.0)) == 2
+    assert count_by_argument_principle(*p, Region.sector(0.4, 0.5, 1.5)) == 0
+    assert count_by_argument_principle(*p, Region.sector(0.4, 1.0, 3.0)) == 1
+    assert count_by_argument_principle(*p, Region.sector(0.4, 0.5, 6.0)) == 2
 
 
 def test_argument_principle_flags_root_on_contour():
     # a root exactly on the circle |z| = 1: (z - 1)(z - 3)
-    p = ComplexPoly([3, -4, 1])
     with pytest.raises(BoundaryProximity):
-        count_by_argument_principle(p, Region.annulus(0, 1.0))
+        count_by_argument_principle(*_plain([3, -4, 1]), Region.annulus(0, 1.0))
 
 
 def test_dual_oracle_agreement_free_samples():
@@ -150,10 +157,10 @@ def test_dual_oracle_agreement_free_samples():
     trials = 100
     for _ in range(trials):
         p = _free_sample(rng, 40)
-        zs = roots(p)
+        zs = roots(*p)
         want = count_in_region(zs, reg)
         try:
-            got = count_by_argument_principle(p, reg)
+            got = count_by_argument_principle(*p, reg)
         except BoundaryProximity:
             flagged += 1
             continue
@@ -169,9 +176,78 @@ def test_far_root_from_small_leading_coefficient():
     c = np.ones(201, dtype=np.complex128)
     c[-1] = 1e-3
     with np.errstate(over="raise", invalid="raise"):
-        zs = roots(ComplexPoly(c))
+        zs = roots(*_plain(c))
     assert zs.roots.size == 200
     assert np.all(np.isfinite(zs.residuals))
     far = np.max(np.abs(zs.roots))
     assert far > 100  # the outlier root is really out there
     assert count_in_region(zs, Region.annulus(0, 1.5)) == 199
+
+
+def _sample(fam, n, t=0):
+    basis = alpha_family(fam).build(n)
+    return basis, sample_poly(basis, coeff_model("gaussian"), trial_seed(7, t))
+
+
+def test_certified_by_backward_error():
+    # an ordinary sample: every root is exact for a relative change of eta
+    # of at most 1e-8, and its residual is that backward error
+    basis, eta = _sample("decay:1:1", 60)
+    zs = roots(basis, eta)
+    assert np.all(zs.residuals <= 1e-8)
+    for z, r in zip(zs.roots, zs.residuals):
+        phi, _ = basis.values_at(z)
+        assert abs(r - abs(eta @ phi) / (np.abs(eta) @ np.abs(phi))) <= 1e-13
+
+
+def test_certified_by_newton_correction(monkeypatch):
+    # constant:0.5 has a mass point at z = 1: every sample has a root within
+    # a few ulps of 1 whose backward error no double brings below 1e-8, so
+    # it is certified by its Newton correction of at most 8 ulps instead
+    basis, eta = _sample("constant:0.5", 100)
+    zs = roots(basis, eta)
+    far = zs.residuals > 1e-8
+    assert np.count_nonzero(far) >= 1
+    assert np.all(np.abs(zs.roots[far] - 1.0) <= 1e-13)
+    p, dp, _ = eval_poly(basis, eta, zs.roots[far], derivs=True)
+    assert np.all(np.abs(p / dp) <= 8 * np.spacing(1.0))
+    monkeypatch.setattr(zerocount, "STEP_ULPS", 0)
+    with pytest.raises(NoConvergence):
+        roots(basis, eta)
+
+
+def _mp_poly(alphas, eta, z):
+    """(P, P', sum_k |eta_k| |phi_k|) at z by the recursion, in mpmath."""
+    z = mpmath.mpc(z)
+    phi = ps = mpmath.mpc(1)
+    dphi = dps = mpmath.mpc(0)
+    p, dp, scale = mpmath.mpc(eta[0]), mpmath.mpc(0), abs(mpmath.mpc(eta[0]))
+    for a, e in zip(alphas, eta[1:]):
+        a, e = mpmath.mpc(a), mpmath.mpc(e)
+        rho = mpmath.sqrt(1 - abs(a) ** 2)
+        d = phi + z * dphi
+        dphi, dps = (d - mpmath.conj(a) * dps) / rho, (dps - a * d) / rho
+        phi, ps = (z * phi - mpmath.conj(a) * ps) / rho, (ps - a * z * phi) / rho
+        p += e * phi
+        dp += e * dphi
+        scale += abs(e) * abs(phi)
+    return p, dp, scale
+
+
+@pytest.mark.parametrize("fam", ["constant:0.5", "weight:jacobi:pi:1"])
+def test_roots_agree_with_mpmath_oracle(fam):
+    # at 50 digits, every root is exact for a relative change of eta of at
+    # most 1e-8, or lies within 1e-14 max(1, |z|) of a refined root (the
+    # mass point z = 1 of constant:0.5); findroot raises when no root is near
+    basis, eta = _sample(fam, 100)
+    zs = roots(basis, eta)
+    assert zs.roots.size == 100
+    with mpmath.workdps(50):
+        for z in zs.roots:
+            p, _, scale = _mp_poly(basis.alphas, eta, z)
+            if abs(p) <= 1e-8 * scale:
+                continue
+            exact = mpmath.findroot(
+                lambda x: _mp_poly(basis.alphas, eta, x)[0], mpmath.mpc(z),
+                solver="newton", df=lambda x: _mp_poly(basis.alphas, eta, x)[1])
+            assert abs(exact - z) <= 1e-14 * max(1.0, abs(z)), (fam, z)
