@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from typing import Optional
-
-import numpy as np
 
 from .errors import ComputationError, UsageError
 from .intensity import rho1_limit, rho1_n, rho2_limit, rho2_n

@@ -3,7 +3,13 @@
 Determinism contract: trial t draws its coefficients from a counter-based
 generator keyed by seed XOR splitmix64(t), so the counts sequence depends
 only on (seed, configuration) and never on scheduling or worker count.
-Results from parallel workers are merged in trial-index order.
+The trials are cut into consecutive blocks of at most BLOCK indices, as
+equal in size as can be, whose edges depend on the trial count alone; the
+roots of a block are found together (zerocount.roots on its coefficient
+rows), and a row's roots never depend on the other rows.  One worker runs
+the blocks in-process, a pool maps the same blocks, and the counts are
+merged in trial-index order, so they are identical for any worker count by
+construction.  A convergence study opens one pool for all its degrees.
 
 The rootfinder is the count of record; on a 1% subsample of trials the
 argument-principle count audits it.  Trials whose roots cannot be certified
@@ -12,30 +18,32 @@ more than 0.1% of them aborts the ensemble rather than biasing it quietly.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import multiprocessing as _mp
 
 import numpy as np
 
-from .errors import (
-    BoundaryProximity,
-    DegenerateLeadingCoefficient,
-    ExclusionBudgetExceeded,
-    NoConvergence,
-    UsageError,
-)
+from .errors import BoundaryProximity, ExclusionBudgetExceeded, UsageError
 from .opuc import AlphaFamily, OpucBasis, regularity_report
-from .zerocount import Region, count_by_argument_principle, count_in_region, roots
+from .zerocount import (
+    Region,
+    ZeroSet,
+    count_by_argument_principle,
+    count_in_region,
+    roots,
+)
 
 _M64 = (1 << 64) - 1
 _BOOT_SALT = 0x0B00757261700000  # distinct stream for the bootstrap resampler
 BOOTSTRAP_RESAMPLES = 1000
 AUDIT_STRIDE = 100
 EXCLUSION_BUDGET = 1e-3
+BLOCK = 32  # most trials whose roots are found together
 
 
 def splitmix64(x: int) -> int:
@@ -110,17 +118,28 @@ class EnsembleStats:
     audit_flagged: int = 0
 
 
-def _count_one(basis, model, region, seed, t) -> Optional[int]:
-    eta = sample_poly(basis, model, trial_seed(seed, t))
-    try:
-        return count_in_region(roots(basis, eta), region)
-    except (NoConvergence, DegenerateLeadingCoefficient):
-        return None
-
-
-def _chunk_counts(args):
+def _block_counts(args) -> list:
+    """Counts of trials lo..hi-1, None where the trial's roots were refused."""
     basis, model, region, seed, lo, hi = args
-    return [_count_one(basis, model, region, seed, t) for t in range(lo, hi)]
+    etas = np.array([sample_poly(basis, model, trial_seed(seed, t))
+                     for t in range(lo, hi)])
+    return [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
+            for zs in roots(basis, etas)]
+
+
+def _blocks(trials: int) -> list:
+    """Consecutive blocks of at most BLOCK trial indices, as equal as can be;
+    the edges depend on `trials` alone."""
+    edges = np.linspace(0, trials, -(-trials // BLOCK) + 1).astype(int)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def _pool(workers: int):
+    """A spawn pool of `workers` processes, or no pool for one worker."""
+    if workers == 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=_mp.get_context("spawn"))
 
 
 def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
@@ -129,24 +148,23 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
 
     Identical (seed, config) give bit-identical counts for any `workers`.
     """
+    _check_sizes(trials, workers)
+    with _pool(workers) as pool:
+        return _ensemble(basis, model, region, trials, seed, pool)
+
+
+def _check_sizes(trials: int, workers: int) -> None:
     if trials < 2:
         raise UsageError("need at least 2 trials")
     if workers < 1:
         raise UsageError("workers must be >= 1")
 
-    raw: list = [None] * trials
-    if workers == 1:
-        for t in range(trials):
-            raw[t] = _count_one(basis, model, region, seed, t)
-    else:
-        nchunks = min(trials, workers * 4)
-        edges = np.linspace(0, trials, nchunks + 1).astype(int)
-        jobs = [(basis, model, region, seed, int(lo), int(hi))
-                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-        ctx = _mp.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for (_, _, _, _, lo, _), out in zip(jobs, pool.map(_chunk_counts, jobs)):
-                raw[lo : lo + len(out)] = out
+
+def _ensemble(basis, model, region, trials, seed, pool) -> EnsembleStats:
+    """run_ensemble's work, its blocks mapped by `pool` (None: in-process)."""
+    jobs = [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)]
+    raw = [c for out in (pool.map if pool else map)(_block_counts, jobs)
+           for c in out]
 
     excluded_trials = tuple(t for t, c in enumerate(raw) if c is None)
     if len(excluded_trials) > EXCLUSION_BUDGET * trials:
@@ -216,16 +234,18 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     if region.kind != "sector":
         raise UsageError("convergence study needs a sector region")
     frac = region.angular_fraction()
+    _check_sizes(trials, workers)
     basis_family.alphas(max(ns))  # one warm-up fill of the family cache
     rows = []
-    for n in ns:
-        basis = basis_family.build(n)
-        stats = run_ensemble(basis, model, region, trials, seed, workers=workers)
-        dev = float(np.mean(np.abs(stats.counts / n - frac)))
-        eps_n = float(regularity_report(basis).epsilons[-1])
-        env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0
-        env2 = max(env1, eps_n ** 0.25 if eps_n > 0 else 0.0)
-        rows.append(ConvergenceRow(
-            n=n, mean_abs_dev=dev, var_over_n2=stats.variance / n**2,
-            envelope_sqrtlogn=env1, envelope_eps14=env2, stats=stats))
+    with _pool(workers) as pool:  # one pool for every degree
+        for n in ns:
+            basis = basis_family.build(n)
+            stats = _ensemble(basis, model, region, trials, seed, pool)
+            dev = float(np.mean(np.abs(stats.counts / n - frac)))
+            eps_n = float(regularity_report(basis).epsilons[-1])
+            env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0
+            env2 = max(env1, eps_n ** 0.25 if eps_n > 0 else 0.0)
+            rows.append(ConvergenceRow(
+                n=n, mean_abs_dev=dev, var_over_n2=stats.variance / n**2,
+                envelope_sqrtlogn=env1, envelope_eps14=env2, stats=stats))
     return rows

@@ -110,7 +110,7 @@ def szego_build(alphas, n: int) -> OpucBasis:
     return OpucBasis(np.asarray(kappas), a)
 
 
-def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False):
+def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None):
     """P = sum_k eta_k phi_k at every point of z, by the value recursion.
 
     Returns (P, scale) or, with derivs, (P, P', scale), where
@@ -119,19 +119,31 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False):
     phi_j / z^j and phi_j* / z^j instead, and all three results come back
     divided by z^n (the scale by |z|^n): the ratios P/P' and |P|/scale are
     unchanged, and nothing overflows however large |z| is.
+
+    eta is one coefficient vector for every point, or a block of them,
+    shape (T, n+1), with rows (an integer array shaped like z) naming the
+    row of each point.  A point's arithmetic is the same either way.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
-    if eta.size != basis.order + 1:
-        raise UsageError(f"{eta.size} coefficients for a degree-{basis.order} basis")
+    if eta.shape[-1] != basis.order + 1 or eta.ndim != (1 if rows is None else 2):
+        raise UsageError(f"coefficients of shape {eta.shape} for a "
+                         f"degree-{basis.order} basis")
+    mods = np.abs(eta)
+    if rows is None:
+        coefs, sizes = iter(eta.tolist()), iter(mods.tolist())
+    else:
+        coefs = (c[rows] for c in np.ascontiguousarray(eta.T))
+        sizes = (c[rows] for c in np.ascontiguousarray(mods.T))
+    e0, m0 = next(coefs), next(sizes)
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
     zw = np.where(out, 1.0, z)
     aw = np.abs(w)
     f = np.ones_like(z)       # phi_j w^j
     g = np.ones_like(z)       # phi_j* w^j
-    p = np.full_like(z, eta[0])
-    scale = np.full(z.shape, abs(eta[0]))
+    p = np.full_like(z, e0)
+    scale = np.full(z.shape, m0)
     if derivs:
         df = np.zeros_like(z)  # phi_j' w^j
         dg = np.zeros_like(z)  # phi_j*' w^j
@@ -139,7 +151,7 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False):
     a = basis.alphas
     norms = np.sqrt(1.0 - np.abs(a) ** 2)
     # Python scalars: numpy scalar arithmetic would dominate the loop
-    for aj, norm, ej in zip(a.tolist(), norms.tolist(), eta[1:].tolist()):
+    for aj, norm, ej, mj in zip(a.tolist(), norms.tolist(), coefs, sizes):
         caj = aj.conjugate()
         zf = zw * f
         if derivs:
@@ -150,7 +162,7 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False):
         wg = w * g
         f, g = (zf - caj * wg) / norm, (wg - aj * zf) / norm
         p = w * p + ej * f
-        scale = aw * scale + abs(ej) * np.abs(f)
+        scale = aw * scale + mj * np.abs(f)
     if derivs:
         return p, dp, scale
     return p, scale

@@ -13,7 +13,6 @@ reciprocal substitution.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

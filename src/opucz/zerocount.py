@@ -2,21 +2,28 @@
 
 Two independent counting routes, both working in the basis itself:
 
-  * roots + count_in_region: eigenvalues of the comrade matrix of P (the
-    GGT matrix of multiplication by z, changed by rank one), certified
-    against eta and polished by a few Newton steps where needed, then a
-    point-in-region test on each root.
+  * roots + count_in_region: the zeros of a whole block of combinations at
+    once, by simultaneous Aberth-Ehrlich iteration through the value
+    recursion, each root certified against eta and each row's root set
+    proven by disjoint inclusion disks; a row that is refused goes alone
+    through the eigenvalues of its comrade matrix (the GGT matrix of
+    multiplication by z, changed by rank one), with Newton steps where
+    needed.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
-    panels on each smooth arc.  The result must land within 0.1 of an
-    integer; drifting further means a zero sits too close to the boundary
-    and the count is refused rather than guessed.
+    panels on its smooth arcs.  The result must land within 0.1 of an
+    integer; drifting further, or spending the panel budget, means a zero
+    sits too close to the boundary and the count is refused rather than
+    guessed.
 
 Regions are annuli s < |z| < t (s = 0 means the full disk |z| < t) and
 sectors r < |z| < 1/r with alpha <= arg z < beta, arguments taken in
 [0, 2 pi).  The sector's radial window is symmetric about the unit circle;
 the half-open angular window makes sector counts over a partition of
-[0, 2 pi) add up exactly.
+[0, 2 pi) add up exactly.  A root whose inclusion disk reaches the start
+ray counts as lying on it, and otherwise one whose disk reaches the end ray
+counts as lying on that: an edge tie is decided by the half-open rule, not
+by the sign of a roundoff.  Circular rims test the computed |z|.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ import numpy as np
 
 from .errors import (
     BoundaryProximity,
+    ComputationError,
     DegenerateLeadingCoefficient,
     NoConvergence,
     UsageError,
@@ -38,11 +46,14 @@ DEGENERATE_LEAD = 1e-300
 RESIDUAL_SCALE = 1e-8
 NEWTON_STEPS = 5
 STEP_ULPS = 8
+ABERTH_STEPS = 60
 INTEGER_SLACK = 0.1
 
+_EPS = np.finfo(float).eps
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
+_PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,12 @@ class Region:
                 f"sector needs 0 <= alpha < beta <= 2 pi, got {alpha}, {beta}")
         return Region("sector", (float(r), float(alpha), float(beta)))
 
-    def contains(self, z) -> np.ndarray:
-        """Membership of every point of z (an array of the same shape)."""
+    def contains(self, z, radius=0.0) -> np.ndarray:
+        """Membership of every point of z (an array of the same shape).
+
+        radius is the inclusion radius of each point: a sector edge ray
+        within it counts as the point's argument (see the module docstring).
+        """
         z = np.asarray(z, dtype=np.complex128)
         az = np.abs(z)
         if self.kind == "annulus":
@@ -78,6 +93,9 @@ class Region:
             return (s < az) & (az < t) if s > 0 else az < t
         r, alpha, beta = self.params
         ang = np.arctan2(z.imag, z.real) % (2 * math.pi)
+        ang = np.where(ang < 2 * math.pi, ang, 0.0)  # a -tiny arg rounds up to 2 pi
+        ang = np.where(_ray_distance(z, alpha) <= radius, alpha,
+                       np.where(_ray_distance(z, beta) <= radius, beta, ang))
         return (r < az) & (az < 1.0 / r) & (alpha <= ang) & (ang < beta)
 
     def angular_fraction(self) -> Optional[float]:
@@ -122,9 +140,15 @@ class Region:
         ]
 
 
+def _ray_distance(z: np.ndarray, theta: float) -> np.ndarray:
+    """Distance from every point of z to the ray arg = theta from 0."""
+    u = z * np.exp(-1j * theta)
+    return np.where(u.real >= 0, np.abs(u.imag), np.abs(u))
+
+
 @dataclass
 class ZeroSet:
-    """Roots of one combination with their backward errors.
+    """Roots of one combination with their backward errors and radii.
 
     Each residual is the backward error of the root relative to eta:
     |P(z)| / sum_k |eta_k| |phi_k(z)|, the smallest relative change of the
@@ -138,10 +162,16 @@ class ZeroSet:
         amount within one ulp, as at the mass point z = 1 of constant
         families with |alpha + 1/2| > 1/2, whose residuals there stay
         between 1e-3 and 1.
+
+    radii[i] is the radius of the Weierstrass inclusion disk about roots[i]:
+    the disks of the set are pairwise disjoint, so each holds exactly one
+    zero.  It is 0 for a set that came from the comrade matrix, where no
+    disk was proven.
     """
 
     roots: np.ndarray
     residuals: np.ndarray
+    radii: np.ndarray
 
 
 def _residual(p, scale) -> np.ndarray:
@@ -150,6 +180,17 @@ def _residual(p, scale) -> np.ndarray:
 
 def _newton_step(p, dp) -> np.ndarray:
     return np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+
+
+def _tiny(step, z) -> np.ndarray:
+    """Whether a correction is at most STEP_ULPS ulps of max(1, |z|)."""
+    return np.abs(step) <= STEP_ULPS * np.spacing(np.maximum(1.0, np.abs(z)))
+
+
+def _roundoff(n: int, scale) -> np.ndarray:
+    """First-order bound on the rounding error of P as eval_poly computes it:
+    about four roundings per recursion step, each of size eps * scale."""
+    return 4 * (n + 1) * _EPS * scale
 
 
 def _comrade(basis: OpucBasis, eta: np.ndarray) -> np.ndarray:
@@ -175,22 +216,13 @@ def _comrade(basis: OpucBasis, eta: np.ndarray) -> np.ndarray:
     return m[::-1, ::-1].T
 
 
-def roots(basis: OpucBasis, eta) -> ZeroSet:
-    """All basis.order roots of sum eta_k phi_k, certified against eta.
+def _comrade_roots(basis: OpucBasis, eta: np.ndarray) -> ZeroSet:
+    """One row by the comrade eigenvalues, certified against eta.
 
     Every eigenvalue is certified first; only those above the residual
     bound get Newton steps, at most NEWTON_STEPS, each kept only if it
-    lowers the residual.  A root that meets neither ground of ZeroSet is
-    refused (NoConvergence) instead of returned doubtful.
+    lowers the residual.
     """
-    eta = np.asarray(eta, dtype=np.complex128)
-    if eta.size != basis.order + 1:
-        raise UsageError(f"{eta.size} coefficients for a degree-{basis.order} basis")
-    if basis.order == 0:
-        return ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0))
-    if abs(eta[-1]) <= DEGENERATE_LEAD:
-        raise DegenerateLeadingCoefficient(
-            f"|leading coefficient| = {abs(eta[-1]):.3e}")
     try:
         rts = np.linalg.eigvals(_comrade(basis, eta))
     except np.linalg.LinAlgError as exc:
@@ -209,7 +241,7 @@ def roots(basis: OpucBasis, eta) -> ZeroSet:
             z = np.where(better, cand, z)
             r = np.where(better, cres, r)
             step = np.where(better, _newton_step(p, dp), step)
-        tiny = np.abs(step) <= STEP_ULPS * np.spacing(np.maximum(1.0, np.abs(z)))
+        tiny = _tiny(step, z)
         if not np.all((r <= RESIDUAL_SCALE) | tiny):
             worst = float(np.max(np.where(tiny, 0.0, r)))
             raise NoConvergence(f"residual {worst:.3e} above {RESIDUAL_SCALE:.0e}"
@@ -217,43 +249,198 @@ def roots(basis: OpucBasis, eta) -> ZeroSet:
                                 f"{STEP_ULPS} ulps")
         rts[bad] = z
         res[bad] = r
-    return ZeroSet(rts, res)
+    return ZeroSet(rts, res, np.zeros(rts.size))
+
+
+def _aberth(basis: OpucBasis, etas: np.ndarray):
+    """Simultaneous Aberth-Ehrlich iteration on every row of etas.
+
+    Row t's n approximations start on the unit circle at angles
+    2 pi (k + 1/4) / n (none real, none conjugate to another) and move by
+    z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = P(z_i)/P'(z_i)
+    (Bini, Numer. Algorithms 13, 1996).  An approximation settles, and stops
+    moving, once |P| is within the rounding bound or its Newton correction
+    is at most STEP_ULPS ulps.  A row with a non-finite approximation fails
+    and leaves the iteration.  Returns z, P, P' and the scale at each
+    settled approximation, and which ones settled.
+    """
+    rows_n, n = etas.shape[0], basis.order
+    z = np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
+    p, dp = np.zeros_like(z), np.zeros_like(z)
+    scale = np.zeros(z.shape)
+    settled = np.zeros(z.shape, dtype=bool)
+    flat = z.reshape(-1)
+    live = np.arange(z.size)  # flat indices of moving approximations
+    for _ in range(ABERTH_STEPS):
+        if not live.size:
+            break
+        rows, pos = np.divmod(live, n)
+        zl = flat[live]
+        pl, dpl, sl = eval_poly(basis, etas, zl, derivs=True, rows=rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = pl / dpl
+        done = (np.abs(pl) <= _roundoff(n, sl)) | _tiny(newton, zl)
+        at = live[done]
+        p.flat[at], dp.flat[at], scale.flat[at] = pl[done], dpl[done], sl[done]
+        settled.flat[at] = True
+        move = ~done
+        live, rows, pos, zl, newton = (x[move] for x in (live, rows, pos, zl, newton))
+        # sum_{j != i} 1 / (z_i - z_j), one column j of the block at a time
+        pull = np.zeros_like(zl)
+        for j in range(n):
+            d = zl - z[rows, j]
+            pull += np.divide(1.0, d, out=np.zeros_like(d), where=pos != j)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            znew = zl - newton / (1.0 - newton * pull)
+        flat[live] = znew
+        failed = np.unique(rows[~np.isfinite(znew)])
+        if failed.size:
+            settled[failed] = False
+            live = live[~np.isin(rows, failed)]
+    return z, p, dp, scale, settled
+
+
+def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
+    """Weierstrass inclusion radii n |W_i| and each root's nearest neighbour.
+
+    W_i = P(z_i) / (lead prod_{j != i} (z_i - z_j)), lead = eta_n kappa_n,
+    with |P| raised by its rounding bound.  The disks D(z_i, n |W_i|) hold
+    every zero, and a connected union of k of them holds k zeros, so
+    pairwise disjoint disks hold one zero each.  Where |z_i| > 1, P comes
+    scaled by z_i^-n and the product is taken over 1 - z_j / z_i instead.
+    A product that over- or underflows gives an infinite radius.
+    """
+    n = z.shape[1]
+    out = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=np.ones_like(z), where=out)
+    zw = np.where(out, 1.0, z)
+    prod = np.ones_like(z)
+    gap = np.full(z.shape, np.inf)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for j in range(n):
+            zj = z[:, j:j + 1]
+            f = zw - zj * w
+            f[:, j] = 1.0
+            prod *= f
+            d = np.abs(z - zj)
+            d[:, j] = np.inf
+            np.minimum(gap, d, out=gap)
+        den = np.abs(etas[:, -1:] * basis.kappas[-1]) * np.abs(prod) * np.abs(w)
+        ok = np.isfinite(den) & (den > 0)
+        num = n * (np.abs(p) + _roundoff(n, scale))
+        rad = np.where(ok, num / np.where(ok, den, 1.0), np.inf)
+    return rad, gap
+
+
+def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
+    if basis.order == 0:
+        return [ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
+                        np.zeros(0)) for _ in etas]
+    found: list = [None] * etas.shape[0]
+    lead = np.abs(etas[:, -1])
+    for t in np.flatnonzero(lead <= DEGENERATE_LEAD):
+        found[t] = DegenerateLeadingCoefficient(
+            f"|leading coefficient| = {lead[t]:.3e}")
+    todo = np.flatnonzero(lead > DEGENERATE_LEAD)
+    sub = etas[todo]
+    z, p, dp, scale, settled = _aberth(basis, sub)
+    res = _residual(p, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = p / dp
+    rad, gap = _inclusion_radii(basis, sub, z, p, scale)
+    # |z_i - z_j| >= gap_i > rad_i + max_k rad_k: the disks are disjoint
+    proven = (settled & ((res <= RESIDUAL_SCALE) | _tiny(newton, z))
+              & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
+    for k, t in enumerate(todo):
+        if proven[k]:
+            found[t] = ZeroSet(z[k], res[k], rad[k])
+            continue
+        try:
+            found[t] = _comrade_roots(basis, sub[k])
+        except NoConvergence as exc:
+            found[t] = exc
+    return found
+
+
+def roots(basis: OpucBasis, eta):
+    """All basis.order roots of sum eta_k phi_k, certified against eta.
+
+    eta is one coefficient vector, shape (n+1,), or a block of them,
+    shape (T, n+1).  The block's rows go through the Aberth iteration
+    together; a row's roots are proven when each meets a ground of ZeroSet
+    and the row's inclusion disks are pairwise disjoint.  A row that hits
+    the iteration cap or fails either test is solved alone by its comrade
+    matrix instead, and one that meets no ground of ZeroSet there is
+    refused.  A row's result never depends on the other rows of its block.
+
+    One vector gives a ZeroSet, or raises NoConvergence /
+    DegenerateLeadingCoefficient.  A block gives a list with one entry per
+    row: its ZeroSet, or the ComputationError that refused it.
+    """
+    eta = np.asarray(eta, dtype=np.complex128)
+    if eta.ndim not in (1, 2) or eta.shape[-1] != basis.order + 1:
+        raise UsageError(f"coefficients of shape {eta.shape} for a "
+                         f"degree-{basis.order} basis")
+    found = _block_roots(basis, eta.reshape(-1, basis.order + 1))
+    if eta.ndim == 2:
+        return found
+    if isinstance(found[0], ComputationError):
+        raise found[0]
+    return found[0]
 
 
 def count_in_region(zs: ZeroSet, region: Region) -> int:
-    return int(np.count_nonzero(region.contains(zs.roots)))
+    return int(np.count_nonzero(region.contains(zs.roots, zs.radii)))
 
 
-def _panel_integrals(basis: OpucBasis, eta: np.ndarray, g, dg, a, b):
+def _panel_integrals(basis: OpucBasis, eta: np.ndarray, arcs, arc, a, b):
+    """Gauss-Legendre estimate and absolute mass of P'/P dz on each panel
+    [a, b] of arc number `arc`, all arcs in one evaluation."""
     h = (b - a)[:, None]
     t = a[:, None] + h * (0.5 * (_GL_NODES[None, :] + 1.0))
-    val, dval, _ = eval_poly(basis, eta, g(t), derivs=True)
+    z = np.empty(t.shape, dtype=np.complex128)
+    dz = np.empty(t.shape, dtype=np.complex128)
+    for k, (g, dg) in enumerate(arcs):
+        on = arc == k
+        z[on], dz[on] = g(t[on]), dg(t[on])
+    val, dval, _ = eval_poly(basis, eta, z, derivs=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = dval / val * dg(t) * (0.5 * h) * _GL_WEIGHTS[None, :]
+        terms = dval / val * dz * (0.5 * h) * _GL_WEIGHTS[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-def _arc_integral(basis: OpucBasis, eta: np.ndarray, g, dg):
+def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs):
     # breadth-first local refinement: a panel is accepted once splitting it
     # stops moving its estimate, so a pole at distance d from the arc costs
     # log(1/d) subdivisions instead of the 1/d a uniform grid would need.
     # The acceptance floor scales with the panel's absolute-value mass;
     # without it, roundoff in high-degree integrands (|terms| >> |sum|)
-    # would keep panels churning forever.
-    a = np.linspace(0.0, 1.0, 9)[:-1]
+    # would keep panels churning forever.  Each level evaluates both halves
+    # of every open panel of every arc at once.
+    arc = np.repeat(np.arange(len(arcs)), 8)
+    a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
     b = a + 0.125
-    whole, _ = _panel_integrals(basis, eta, g, dg, a, b)
+    whole, _ = _panel_integrals(basis, eta, arcs, arc, a, b)
     total = 0.0 + 0.0j
+    spent = a.size
     for _ in range(_MAX_DEPTH):
+        m = a.size
+        spent += 2 * m
+        if spent > _PANEL_BUDGET:
+            raise BoundaryProximity(
+                f"contour count spent its budget of {_PANEL_BUDGET} panels")
         mid = 0.5 * (a + b)
-        left, scale_l = _panel_integrals(basis, eta, g, dg, a, mid)
-        right, scale_r = _panel_integrals(basis, eta, g, dg, mid, b)
+        halves, scales = _panel_integrals(
+            basis, eta, arcs, np.concatenate([arc, arc]),
+            np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[:m], halves[m:]
         err = np.abs(whole - (left + right))
-        done = err < np.maximum(_PANEL_TOL, 1e-13 * (scale_l + scale_r))
+        done = err < np.maximum(_PANEL_TOL, 1e-13 * (scales[:m] + scales[m:]))
         total += np.sum(left[done]) + np.sum(right[done])
         if np.all(done):
             return complex(total), True
         keep = ~done
+        arc = np.concatenate([arc[keep], arc[keep]])
         a = np.concatenate([a[keep], mid[keep]])
         b = np.concatenate([mid[keep], b[keep]])
         whole = np.concatenate([left[keep], right[keep]])
@@ -266,21 +453,17 @@ def count_by_argument_principle(basis: OpucBasis, eta, region: Region) -> int:
     """Winding of sum eta_k phi_k around the region boundary; refuses
     non-integer results.
 
-    Each smooth arc is integrated by locally adaptive composite
-    Gauss-Legendre panels.  A result farther than 0.1 from an integer, or
-    panels that never stabilize, raise BoundaryProximity -- the signal that
-    a zero sits essentially on the boundary.
+    The boundary arcs are integrated by locally adaptive composite
+    Gauss-Legendre panels.  A result farther than 0.1 from an integer,
+    panels that never stabilize, or more than _PANEL_BUDGET panels raise
+    BoundaryProximity -- the signal that a zero sits essentially on the
+    boundary.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     if abs(eta[-1]) <= DEGENERATE_LEAD:
         raise DegenerateLeadingCoefficient(
             f"|leading coefficient| = {abs(eta[-1]):.3e}")
-    total = 0.0 + 0.0j
-    settled = True
-    for g, dg in region.boundary_arcs():
-        part, ok = _arc_integral(basis, eta, g, dg)
-        total += part
-        settled = settled and ok
+    total, settled = _contour_integral(basis, eta, region.boundary_arcs())
     w = total / (2j * math.pi)
     if not settled or not np.isfinite(w) \
             or abs(w - round(w.real)) > INTEGER_SLACK:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import opucz.mc as mc
-from opucz.errors import ExclusionBudgetExceeded, UsageError
+from opucz.errors import ExclusionBudgetExceeded, NoConvergence, UsageError
 from opucz.intensity import rho1_n
 from opucz.mc import (
     CoeffModel,
@@ -140,15 +140,20 @@ def test_exclusion_budget(monkeypatch):
     model = coeff_model("gaussian")
     reg = Region.annulus(0.0, 0.5)
 
-    orig = mc._count_one
-    monkeypatch.setattr(mc, "_count_one", lambda *a: None)
+    orig = mc.roots
+    monkeypatch.setattr(mc, "roots",
+                        lambda b, etas: [NoConvergence("refused")] * len(etas))
     with pytest.raises(ExclusionBudgetExceeded):
         run_ensemble(basis, model, reg, trials=50, seed=0)
 
     # one exclusion in 2000 trials is inside the 0.1% budget
-    monkeypatch.setattr(
-        mc, "_count_one",
-        lambda b, m, r, s, t: None if t == 1 else orig(b, m, r, s, t))
+    refused = sample_poly(basis, model, trial_seed(0, 1))
+
+    def refuse_trial_one(b, etas):
+        return [NoConvergence("refused") if np.array_equal(eta, refused) else zs
+                for eta, zs in zip(etas, orig(b, etas))]
+
+    monkeypatch.setattr(mc, "roots", refuse_trial_one)
     stats = run_ensemble(basis, model, reg, trials=2000, seed=0)
     assert stats.excluded == 1
     assert stats.excluded_trials == (1,)
@@ -222,3 +227,46 @@ def test_quaternary_and_disk_models_run():
         rerun = run_ensemble(basis, coeff_model(name),
                              Region.annulus(0.0, 0.5), trials=60, seed=13)
         assert np.array_equal(stats.counts, rerun.counts)
+
+
+def test_blocks_depend_on_trials_alone():
+    for trials in (2, mc.BLOCK, mc.BLOCK + 1, 5 * mc.BLOCK - 3):
+        blocks = mc._blocks(trials)
+        assert blocks[0][0] == 0 and blocks[-1][1] == trials
+        assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) <= mc.BLOCK and max(sizes) - min(sizes) <= 1
+
+
+def test_worker_counts_agree_over_uneven_blocks():
+    # 2 BLOCK + 5 trials: three blocks, which the pool maps over two workers
+    basis = alpha_family("decay:1:1").build(12)
+    reg = Region.sector(0.5, 0.0, np.pi / 2)
+    trials = 2 * mc.BLOCK + 5
+    one = run_ensemble(basis, coeff_model("gaussian"), reg, trials=trials,
+                       seed=4, workers=1)
+    two = run_ensemble(basis, coeff_model("gaussian"), reg, trials=trials,
+                       seed=4, workers=2)
+    assert np.array_equal(one.counts, two.counts)
+    assert np.array_equal(one.trial_indices, two.trial_indices)
+    for t in (0, mc.BLOCK, trials - 1):  # a block's counts are its trials'
+        eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(4, t))
+        assert one.counts[t] == count_in_region(roots(basis, eta), reg)
+
+
+def test_convergence_study_opens_one_pool(monkeypatch):
+    opened = []
+
+    class Counted(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Counted)
+    args = (alpha_family("zero"), coeff_model("gaussian"), QUARTER, [10, 20, 40])
+    pooled = convergence_study(*args, trials=40, seed=5, workers=2)
+    assert len(opened) == 1
+    assert all(not p._processes for p in opened)  # shut down on return
+    alone = convergence_study(*args, trials=40, seed=5, workers=1)
+    for a, b in zip(pooled, alone):
+        assert np.array_equal(a.stats.counts, b.stats.counts)

@@ -97,6 +97,23 @@ def test_eval_poly_matches_values_at():
                 assert abs(g - w) <= 1e-12 * m
 
 
+def test_eval_poly_block_rows_match_single_vectors():
+    # a block of coefficient rows, each point naming its row, gives every
+    # point the same bits as its row evaluated alone
+    rng = np.random.default_rng(9)
+    etas = rng.standard_normal((5, 31)) + 1j * rng.standard_normal((5, 31))
+    z = np.array([0.2 + 0.1j, -0.9j, 1.0, 1.3 - 0.4j, 25.0, 0.7, -1.1])
+    rows = np.array([4, 0, 2, 2, 1, 3, 0])
+    b = alpha_family("decay:1:1").build(30)
+    block = eval_poly(b, etas, z, derivs=True, rows=rows)
+    for k, r in enumerate(rows):
+        alone = eval_poly(b, etas[r], z[k:k + 1], derivs=True)
+        for got, want in zip(block, alone):
+            assert got[k] == want[0]
+    with pytest.raises(UsageError):
+        eval_poly(b, etas, z)  # a block needs rows
+
+
 def test_kappas_nondecreasing():
     fam = alpha_family("decay:0.9:0.5")
     b = fam.build(40)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -251,3 +252,100 @@ def test_roots_agree_with_mpmath_oracle(fam):
                 lambda x: _mp_poly(basis.alphas, eta, x)[0], mpmath.mpc(z),
                 solver="newton", df=lambda x: _mp_poly(basis.alphas, eta, x)[1])
             assert abs(exact - z) <= 1e-14 * max(1.0, abs(z)), (fam, z)
+
+
+def test_block_rows_match_rows_alone():
+    # a row's roots never depend on the rest of its block, whichever route
+    # answered it: the comrade matrix for z^2 (z - 1), none for the last row
+    basis = alpha_family("decay:1:1").build(30)
+    model = coeff_model("gaussian")
+    etas = [sample_poly(basis, model, trial_seed(3, t)) for t in range(6)]
+    plain, _ = _plain(np.zeros(4))
+    for b, block in ((basis, etas), (plain, [[-8, 0, 0, 1], [0, 0, -1, 1],
+                                             [1, 0, 1, 1], [1, 2, 3, 0]])):
+        block = np.array(block, dtype=np.complex128)
+        found = roots(b, block)
+        assert len(found) == len(block)
+        for eta, zs in zip(block, found):
+            try:
+                alone = roots(b, eta)
+            except DegenerateLeadingCoefficient as exc:
+                assert isinstance(zs, DegenerateLeadingCoefficient)
+                assert str(zs) == str(exc)
+                continue
+            for got, want in zip((zs.roots, zs.residuals, zs.radii),
+                                 (alone.roots, alone.residuals, alone.radii)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fam,n,model", [
+    *[(f, n, "gaussian") for f in ("zero", "decay:1:1", "weight:jacobi:pi:1")
+      for n in (25, 100, 200)],
+    ("zero", 100, "uniform_disk"), ("zero", 100, "quaternary")])
+def test_block_roots_match_comrade_eigenvalues(fam, n, model):
+    # every block-route root is within 1e-12 max(1, |z|) of its own comrade
+    # eigenvalue, one to one
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model(model), trial_seed(42, t))
+                     for t in range(4)])
+    for eta, zs in zip(etas, roots(basis, etas)):
+        assert np.all(zs.radii > 0)  # proven by disjoint disks, no fallback
+        eig = np.linalg.eigvals(zerocount._comrade(basis, eta))
+        dist = np.abs(zs.roots[:, None] - eig[None, :])
+        near = np.argmin(dist, axis=1)
+        assert np.unique(near).size == n
+        assert np.all(dist[np.arange(n), near]
+                      <= 1e-12 * np.maximum(1.0, np.abs(zs.roots)))
+        assert np.all(zs.radii < 0.5 * np.min(
+            dist + np.diag(np.full(n, np.inf))[near], axis=1))
+
+
+def test_double_root_refused_by_disjoint_disks():
+    # z^2 (z - 1): the iteration settles every approximation, but the two
+    # near 0 share one double zero, so their inclusion disks overlap and the
+    # comrade matrix answers instead (radii 0, both roots exactly 0)
+    basis, eta = _plain([0, 0, -1, 1])
+    z, p, dp, scale, settled = zerocount._aberth(basis, eta[None])
+    assert settled.all()
+    rad, gap = zerocount._inclusion_radii(basis, eta[None], z, p, scale)
+    pairs = np.abs(z[0][:, None] - z[0][None, :]) <= rad[0][:, None] + rad[0][None, :]
+    assert np.count_nonzero(pairs & ~np.eye(3, dtype=bool)) == 2
+    zs = roots(basis, eta)
+    assert np.array_equal(zs.radii, np.zeros(3))
+    assert np.count_nonzero(zs.roots == 0) == 2
+
+
+def test_edge_ties_decided_by_inclusion_radius():
+    # a point just below the ray arg 0 lies on it when its disk reaches it:
+    # then it belongs to the sector that starts there, not the one that ends
+    z = np.array([2 - 1e-10j])
+    first, last = Region.sector(0.4, 0, 1.0), Region.sector(0.4, 5.0, 2 * math.pi)
+    assert not first.contains(z)[0] and last.contains(z)[0]
+    assert first.contains(z, 1e-9)[0] and not last.contains(z, 1e-9)[0]
+    # an argument that rounds to 2 pi is argument 0
+    assert first.contains([2 - 1e-30j])[0] and not last.contains([2 - 1e-30j])[0]
+    # at degree 100 the zero next to the mass point z = 1 of constant:0.5 is
+    # within 1e-20 of the real axis: it is counted in the sector that starts
+    # at arg 0 on every sample, whatever the sign of its roundoff
+    basis = alpha_family("constant:0.5").build(100)
+    model = coeff_model("gaussian")
+    edges = [0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
+    quarters = [Region.sector(0.5, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    etas = np.array([sample_poly(basis, model, trial_seed(42, t)) for t in range(12)])
+    for zs in roots(basis, etas):
+        mass = np.abs(zs.roots - 1.0) <= 1e-13
+        assert np.count_nonzero(mass) == 1 and zs.radii[mass][0] > 0
+        assert quarters[0].contains(zs.roots[mass], zs.radii[mass])[0]
+        assert sum(count_in_region(zs, q) for q in quarters) == \
+            count_in_region(zs, Region.sector(0.5, 0, 2 * math.pi))
+
+
+def test_panel_budget_flags_mass_point_quickly():
+    # the mass point sits on the sector's edge ray: the contour count must
+    # give up on its panel budget, well inside a second of CPU time
+    basis = alpha_family("constant:0.5").build(100)
+    eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(42, 0))
+    t0 = time.process_time()
+    with pytest.raises(BoundaryProximity):
+        count_by_argument_principle(basis, eta, Region.sector(0.5, 0, math.pi / 2))
+    assert time.process_time() - t0 < 1.0
