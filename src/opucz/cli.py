@@ -57,6 +57,27 @@ def _parse_complex(text, flag: str) -> complex:
         raise UsageError(f"--{flag}: not a complex number: {text!r}") from None
 
 
+def _integer(value, flag: str) -> int:
+    """An integer flag value; from a config file also an integral float or a
+    decimal string.  Anything else is a usage error naming --flag."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"--{flag}: not an integer: {value!r}")
+
+
+def _real(value, flag: str) -> float:
+    """A real flag value, or a usage error naming --flag."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"--{flag}: not a number: {value!r}") from None
+
+
 def _need(cfg: dict, key: str):
     if cfg.get(key) is None:
         raise UsageError(f"missing required flag --{key.replace('_', '-')}")
@@ -71,7 +92,7 @@ def _threads(cfg: dict) -> int:
         except ValueError:
             raise UsageError(f"OPUCZ_THREADS: not an integer: {env!r}") from None
     elif cfg.get("threads") is not None:
-        k = int(cfg["threads"])
+        k = _integer(cfg["threads"], "threads")
     else:
         k = os.cpu_count() or 1
     if k < 1:
@@ -106,7 +127,7 @@ _DEFAULTS = {
 
 def _run_basis(cfg: dict) -> int:
     fam = alpha_family(str(_need(cfg, "alphas")))
-    n = int(_need(cfg, "n"))
+    n = _integer(_need(cfg, "n"), "n")
     basis = fam.build(n)
     if cfg.get("report"):
         rep = regularity_report(basis)
@@ -122,7 +143,7 @@ def _run_basis(cfg: dict) -> int:
 
 def _run_kernel(cfg: dict) -> int:
     fam = alpha_family(str(_need(cfg, "alphas")))
-    n = int(_need(cfg, "n"))
+    n = _integer(_need(cfg, "n"), "n")
     z = _parse_complex(_need(cfg, "z"), "z")
     w = _parse_complex(_need(cfg, "w"), "w")
     route = str(cfg.get("route", "cd"))
@@ -147,7 +168,7 @@ def _run_intensity(cfg: dict) -> int:
             out = rho2_limit(z, _parse_complex(w, "w"))
     else:
         fam = alpha_family(str(_need(cfg, "alphas")))
-        n = int(_need(cfg, "n"))
+        n = _integer(_need(cfg, "n"), "n")
         basis = fam.build(n + 1)
         if w is None:
             out = rho1_n(basis, z, n=n)
@@ -167,11 +188,11 @@ def _counts_csv(stats) -> str:
 def _run_simulate(cfg: dict) -> int:
     t0 = time.perf_counter()
     alphas = str(_need(cfg, "alphas"))
-    n = int(_need(cfg, "n"))
+    n = _integer(_need(cfg, "n"), "n")
     model_name = str(cfg.get("model", "gaussian"))
     region_text = str(_need(cfg, "region"))
-    trials = int(_need(cfg, "trials"))
-    seed = int(cfg.get("seed", 0))
+    trials = _integer(_need(cfg, "trials"), "trials")
+    seed = _integer(cfg.get("seed", 0), "seed")
     out = str(_need(cfg, "out"))
     workers = _threads(cfg)
 
@@ -261,15 +282,12 @@ def _run_convergence(cfg: dict) -> int:
     region_text = str(_need(cfg, "region"))
     raw_ns = _need(cfg, "ns")
     if isinstance(raw_ns, str):
-        try:
-            ns = [int(tok) for tok in raw_ns.split(",") if tok.strip()]
-        except ValueError:
-            raise UsageError(f"--ns: not a comma list of integers: "
-                             f"{raw_ns!r}") from None
-    else:
-        ns = [int(v) for v in raw_ns]
-    trials = int(_need(cfg, "trials"))
-    seed = int(cfg.get("seed", 0))
+        raw_ns = [tok for tok in raw_ns.split(",") if tok.strip()]
+    elif not isinstance(raw_ns, list):
+        raw_ns = [raw_ns]
+    ns = [_integer(v, "ns") for v in raw_ns]
+    trials = _integer(_need(cfg, "trials"), "trials")
+    seed = _integer(cfg.get("seed", 0), "seed")
     out = str(_need(cfg, "out"))
     workers = _threads(cfg)
 
@@ -306,15 +324,17 @@ def _run_convergence(cfg: dict) -> int:
 
 
 def _run_variance_limit(cfg: dict) -> int:
-    s = float(_need(cfg, "s"))
-    t = float(_need(cfg, "t"))
+    s = _real(_need(cfg, "s"), "s")
+    t = _real(_need(cfg, "t"), "t")
     method = str(cfg.get("method", "closed"))
     if method == "closed":
         res = var_limit_closed(s, t)
     elif method == "series":
-        res = var_limit_series(s, t, tol=float(cfg.get("tol", 1e-12)))
+        tol = _real(cfg.get("tol", 1e-12), "tol")
+        res = var_limit_series(s, t, tol=tol)
     elif method == "quadrature":
-        res = var_limit_quadrature(s, t, target=float(cfg.get("target", 1e-8)))
+        target = _real(cfg.get("target", 1e-8), "target")
+        res = var_limit_quadrature(s, t, target=target)
     else:
         raise UsageError(
             f"--method: {method!r} is not closed, series, or quadrature")

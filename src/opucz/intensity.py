@@ -42,7 +42,10 @@ from typing import Union
 import numpy as np
 
 from .errors import MixedSides, OnUnitCircle, UsageError
-from .kernel import kernel_cd, kernel_direct
+from .kernel import _cd, _direct, _resolve_order
+# the public routes stay importable from here: perfbench/workloads.py traces
+# intensity.kernel_cd and intensity.kernel_direct by attribute
+from .kernel import kernel_cd, kernel_direct  # noqa: F401
 from .opuc import OpucBasis
 
 PAIR_COINCIDENCE = 1e-9
@@ -56,11 +59,11 @@ class IntensityValue:
     order: Union[int, str]  # truncation degree, or "limit"
 
 
-def _kernel_at(basis: OpucBasis, z, w, n: int):
+def _kernel_at(basis: OpucBasis, vz, vw, z, w, n: int):
     # closed form away from its singular curve, direct sums near it
     if abs(1.0 - z * np.conj(w)) <= DIRECT_FALLBACK or n + 1 > basis.order:
-        return kernel_direct(basis, z, w, n=n)
-    return kernel_cd(basis, z, w, n=n)
+        return _direct(vz, vw, n)
+    return _cd(vz, vw, z, w, n)
 
 
 def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
@@ -69,19 +72,22 @@ def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
         n = basis.order
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
+    n = _resolve_order(basis, n, need_next=False)
     z = complex(z)
-    k = kernel_direct(basis, z, z, n=n)
+    v = basis.values_at(z, upto=n, derivs=True)
+    k = _direct(v, v, n)
     K = k.K.real
     val = (k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K)
     return IntensityValue(float(val), n)
 
 
 def _pair_kernels(basis: OpucBasis, z, w, n: int):
-    kzz = _kernel_at(basis, z, z, n)
-    kww = _kernel_at(basis, w, w, n)
-    kzw = _kernel_at(basis, z, w, n)
-    kwz = _kernel_at(basis, w, z, n)
-    return kzz, kww, kzw, kwz
+    """K at (z,z), (w,w), (z,w) and (w,z), from one values_at per point."""
+    m = min(_resolve_order(basis, n, need_next=False) + 1, basis.order)
+    vz = basis.values_at(z, upto=m, derivs=True)
+    vw = basis.values_at(w, upto=m, derivs=True)
+    return (_kernel_at(basis, vz, vz, z, z, n), _kernel_at(basis, vw, vw, w, w, n),
+            _kernel_at(basis, vz, vw, z, w, n), _kernel_at(basis, vw, vz, w, z, n))
 
 
 def _fg(kzz, kww, kzw, kwz, D):

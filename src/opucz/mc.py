@@ -11,10 +11,12 @@ the blocks in-process, a pool maps the same blocks, and the counts are
 merged in trial-index order, so they are identical for any worker count by
 construction.  A convergence study opens one pool for all its degrees.
 
-The rootfinder is the count of record; on a 1% subsample of trials the
-argument-principle count audits it.  Trials whose roots cannot be certified
-(NoConvergence, degenerate leading coefficient) are recorded as exclusions;
-more than 0.1% of them aborts the ensemble rather than biasing it quietly.
+The rootfinder is the count of record; on a 1% subsample of trials (the
+indices divisible by AUDIT_STRIDE) the argument-principle count audits it,
+inside the block that holds the trial and on the coefficients the block
+drew.  Trials whose roots cannot be certified (NoConvergence, degenerate
+leading coefficient) are recorded as exclusions; more than 0.1% of them
+aborts the ensemble rather than biasing it quietly.
 """
 from __future__ import annotations
 
@@ -118,13 +120,26 @@ class EnsembleStats:
     audit_flagged: int = 0
 
 
-def _block_counts(args) -> list:
-    """Counts of trials lo..hi-1, None where the trial's roots were refused."""
+def _block_counts(args) -> tuple:
+    """Counts of trials lo..hi-1, None where the trial's roots were refused,
+    and the (audited, mismatches, flagged) tally of the block's audits."""
     basis, model, region, seed, lo, hi = args
     etas = np.array([sample_poly(basis, model, trial_seed(seed, t))
                      for t in range(lo, hi)])
-    return [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
-            for zs in roots(basis, etas)]
+    counts = [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
+              for zs in roots(basis, etas)]
+    audited = mismatches = flagged = 0
+    for eta, count, t in zip(etas, counts, range(lo, hi)):
+        if t % AUDIT_STRIDE or count is None:
+            continue
+        try:
+            check = count_by_argument_principle(basis, eta, region)
+        except BoundaryProximity:
+            flagged += 1
+            continue
+        audited += 1
+        mismatches += int(check != count)
+    return counts, (audited, mismatches, flagged)
 
 
 def _blocks(trials: int) -> list:
@@ -163,8 +178,10 @@ def _check_sizes(trials: int, workers: int) -> None:
 def _ensemble(basis, model, region, trials, seed, pool) -> EnsembleStats:
     """run_ensemble's work, its blocks mapped by `pool` (None: in-process)."""
     jobs = [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)]
-    raw = [c for out in (pool.map if pool else map)(_block_counts, jobs)
-           for c in out]
+    done = list((pool.map if pool else map)(_block_counts, jobs))
+    raw = [c for counts, _ in done for c in counts]
+    audited, mismatches, flagged = (sum(col) for col in
+                                    zip(*(tally for _, tally in done)))
 
     excluded_trials = tuple(t for t, c in enumerate(raw) if c is None)
     if len(excluded_trials) > EXCLUSION_BUDGET * trials:
@@ -173,20 +190,6 @@ def _ensemble(basis, model, region, trials, seed, pool) -> EnsembleStats:
     counts = np.array([c for c in raw if c is not None], dtype=np.int64)
     kept = np.array([t for t, c in enumerate(raw) if c is not None],
                     dtype=np.int64)
-
-    audited = mismatches = flagged = 0
-    for t in range(0, trials, AUDIT_STRIDE):
-        if raw[t] is None:
-            continue
-        eta = sample_poly(basis, model, trial_seed(seed, t))
-        try:
-            check = count_by_argument_principle(basis, eta, region)
-        except BoundaryProximity:
-            flagged += 1
-            continue
-        audited += 1
-        if check != raw[t]:
-            mismatches += 1
 
     m = counts.size
     mean = float(counts.mean())

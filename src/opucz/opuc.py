@@ -73,23 +73,26 @@ class OpucBasis:
         m = self.order if upto is None else upto
         if m < 0 or m > self.order:
             raise UsageError(f"degree {m} not held by a degree-{self.order} basis")
-        a = self.alphas
-        phi = np.empty(m + 1, dtype=np.complex128)
-        ps = np.empty(m + 1, dtype=np.complex128)
-        phi[0] = ps[0] = 1.0
-        if derivs:
-            dphi = np.zeros(m + 1, dtype=np.complex128)
-            dps = np.zeros(m + 1, dtype=np.complex128)
-        for j in range(m):
-            norm = math.sqrt(1.0 - abs(a[j]) ** 2)
+        z = complex(z)
+        # Python scalars: numpy scalar arithmetic would dominate the loop.
+        # numpy divides by a real norm as x * (1/norm), so multiplying by
+        # s = 1/norm gives its values; Python's x / norm rounds differently.
+        f = g = 1 + 0j
+        df = dg = 0j
+        phi, ps, dphi, dps = [f], [g], [df], [dg]
+        for aj in self.alphas[:m].tolist():
+            s = 1.0 / math.sqrt(1.0 - abs(aj) ** 2)
+            caj = aj.conjugate()
             if derivs:
-                dphi[j + 1] = (phi[j] + z * dphi[j] - np.conj(a[j]) * dps[j]) / norm
-                dps[j + 1] = (dps[j] - a[j] * (phi[j] + z * dphi[j])) / norm
-            phi[j + 1] = (z * phi[j] - np.conj(a[j]) * ps[j]) / norm
-            ps[j + 1] = (ps[j] - a[j] * z * phi[j]) / norm
-        if derivs:
-            return phi, ps, dphi, dps
-        return phi, ps
+                d = f + z * df
+                df, dg = (d - caj * dg) * s, (dg - aj * d) * s
+                dphi.append(df)
+                dps.append(dg)
+            f, g = (z * f - caj * g) * s, (g - aj * z * f) * s
+            phi.append(f)
+            ps.append(g)
+        vals = (phi, ps, dphi, dps) if derivs else (phi, ps)
+        return tuple(np.array(v, dtype=np.complex128) for v in vals)
 
 
 def szego_build(alphas, n: int) -> OpucBasis:
@@ -140,32 +143,33 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None):
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
     zw = np.where(out, 1.0, z)
     aw = np.abs(w)
-    f = np.ones_like(z)       # phi_j w^j
-    g = np.ones_like(z)       # phi_j* w^j
-    p = np.full_like(z, e0)
+    # stacked (value, derivative) rows: f = (phi_j, phi_j') w^j,
+    # g = (phi_j*, phi_j*') w^j and p = (P, P') so far
+    f = np.zeros((2 if derivs else 1,) + z.shape, dtype=np.complex128)
+    g = f.copy()
+    p = f.copy()
+    f[0] = g[0] = 1.0
+    p[0] = e0
     scale = np.full(z.shape, m0)
-    if derivs:
-        df = np.zeros_like(z)  # phi_j' w^j
-        dg = np.zeros_like(z)  # phi_j*' w^j
-        dp = np.zeros_like(z)
     a = basis.alphas
-    norms = np.sqrt(1.0 - np.abs(a) ** 2)
+    # x * (1/norm) on the float view: the values of numpy's x / norm, cheaper
+    inv = 1.0 / np.sqrt(1.0 - np.abs(a) ** 2)
     # Python scalars: numpy scalar arithmetic would dominate the loop
-    for aj, norm, ej, mj in zip(a.tolist(), norms.tolist(), coefs, sizes):
+    for aj, s, ej, mj in zip(a.tolist(), inv.tolist(), coefs, sizes):
         caj = aj.conjugate()
-        zf = zw * f
+        x = zw * f
         if derivs:
-            d = w * f + zw * df
-            wdg = w * dg
-            df, dg = (d - caj * wdg) / norm, (wdg - aj * d) / norm
-            dp = w * dp + ej * df
+            x[1] += w * f[0]
         wg = w * g
-        f, g = (zf - caj * wg) / norm, (wg - aj * zf) / norm
+        f = x - caj * wg
+        g = wg - aj * x
+        f.view(np.float64)[...] *= s
+        g.view(np.float64)[...] *= s
         p = w * p + ej * f
-        scale = aw * scale + mj * np.abs(f)
+        scale = aw * scale + mj * np.abs(f[0])
     if derivs:
-        return p, dp, scale
-    return p, scale
+        return p[0], p[1], scale
+    return p[0], scale
 
 
 @dataclass

@@ -25,6 +25,9 @@ from .zerocount import Region
 _SERIES_CAP = 2_000_000
 _RADIAL_CAP = 384
 _ANGULAR_CAP = 1 << 14
+# radial node pairs per block of the two-point sum: each block's
+# temporaries are _PAIR_BLOCK x (angular nodes) doubles, 2 MB at 256 nodes
+_PAIR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,10 @@ def var_limit_series(s: float, t: float, tol: float = 1e-12) -> VarianceResult:
     return VarianceResult(value=first - total, method="series", region=region)
 
 
-def _quad_value(s: float, t: float, nr: int, na: int) -> float:
-    # tensor polar rule: Gauss-Legendre radial x equispaced angular
-    x, w = leggauss(nr)
+def _quad_value(s: float, t: float, radial, na: int) -> float:
+    # tensor polar rule: Gauss-Legendre radial (the leggauss nodes and
+    # weights in `radial`) x equispaced angular
+    x, w = radial
     r = 0.5 * (t - s) * x + 0.5 * (t + s)
     wr = 0.5 * (t - s) * w
     dth = 2.0 * np.pi / na
@@ -106,9 +110,9 @@ def _quad_value(s: float, t: float, nr: int, na: int) -> float:
     wprod = np.outer(wr * r, wr * r).ravel()
     angsum = np.zeros_like(xprod)
     cos_psi = np.cos(psi)
-    for lo in range(0, xprod.size, 4096):
-        xs = xprod[lo : lo + 4096, None]
-        angsum[lo : lo + 4096] = np.sum(
+    for lo in range(0, xprod.size, _PAIR_BLOCK):
+        xs = xprod[lo : lo + _PAIR_BLOCK, None]
+        angsum[lo : lo + _PAIR_BLOCK] = np.sum(
             (1.0 - 2.0 * xs * cos_psi + xs * xs) ** -2.0, axis=1)
     term2 = float(np.sum(wprod * angsum) * dth * dth * na / np.pi**2)
     return term1 - term2
@@ -124,11 +128,12 @@ def var_limit_quadrature(s: float, t: float,
         return VarianceResult(value=0.0, method="quadrature", region=region)
 
     def stable_in_angle(nr: int) -> float:
+        radial = leggauss(nr)  # one rule for every angular refinement
         na = 64
-        val = _quad_value(s, t, nr, na)
+        val = _quad_value(s, t, radial, na)
         while na <= _ANGULAR_CAP // 2:
             na *= 2
-            nxt = _quad_value(s, t, nr, na)
+            nxt = _quad_value(s, t, radial, na)
             if abs(nxt - val) < 0.25 * target:
                 return nxt
             val = nxt

@@ -233,6 +233,57 @@ def test_bad_threads_env(capsys, monkeypatch, tmp_path):
     assert "OPUCZ_THREADS" in err
 
 
+def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    base = {"alphas": "zero", "n": 5, "region": "annulus:0:0.5", "trials": 4,
+            "seed": 1, "threads": 1, "out": str(tmp_path / "x")}
+    conv = {"alphas": "zero", "region": "sector:0.5:0:1", "ns": [5, 10],
+            "trials": 4, "seed": 1, "threads": 1, "out": str(tmp_path / "y")}
+    cases = [
+        ("simulate", {**base, "threads": "many"}, "--threads"),
+        ("simulate", {**base, "threads": 0.5}, "--threads"),
+        ("simulate", {**base, "trials": "four"}, "--trials"),
+        ("simulate", {**base, "trials": 4.5}, "--trials"),
+        ("simulate", {**base, "n": [5]}, "--n"),
+        ("simulate", {**base, "seed": "x1"}, "--seed"),
+        ("simulate", {**base, "seed": True}, "--seed"),
+        ("convergence", {**conv, "ns": [5, "ten"]}, "--ns"),
+        ("convergence", {**conv, "ns": [5, 10.5]}, "--ns"),
+        ("convergence", {**conv, "ns": {"a": 5}}, "--ns"),
+        ("basis", {"alphas": "zero", "n": "five"}, "--n"),
+        ("kernel", {"alphas": "zero", "n": 2.5, "z": 0.1, "w": 0.2}, "--n"),
+        ("intensity", {"alphas": "zero", "n": "4x", "z": 0.1}, "--n"),
+        ("variance-limit", {"s": "low", "t": 0.5}, "--s"),
+        ("variance-limit", {"s": 0.1, "t": 0.5, "method": "series",
+                            "tol": [1]}, "--tol"),
+    ]
+    for k, (command, cfg, flag) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, command, "--config", str(path))
+        assert code == 2, (command, cfg)
+        assert "usage error" in err and flag in err, (command, cfg, err)
+
+
+def test_integral_config_numbers_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    cfg = {"alphas": "zero", "n": 5.0, "region": "annulus:0:0.5",
+           "trials": "4", "seed": 1, "threads": 1.0}
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run(capsys, "simulate", "--config", str(path), "--out",
+                     str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run(capsys, "simulate", "--alphas", "zero", "--n", "5",
+                     "--region", "annulus:0:0.5", "--trials", "4", "--seed",
+                     "1", "--threads", "1", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert (tmp_path / "a.counts.csv").read_bytes() == \
+        (tmp_path / "b.counts.csv").read_bytes()
+    summary = json.loads((tmp_path / "a.summary.json").read_text())
+    assert summary["config"]["n"] == 5 and summary["config"]["threads"] == 1
+
+
 def test_region_grammar_total():
     assert parse_region("annulus:0:0.5").params == (0.0, 0.5)
     sec = parse_region("sector:0.5:0:pi/2")

@@ -5,13 +5,16 @@ import pytest
 
 from opucz.errors import MixedSides, OnUnitCircle
 from opucz.intensity import (
+    DIRECT_FALLBACK,
     PAIR_COINCIDENCE,
+    _fg,
     _pair_kernels,
     rho1_limit,
     rho1_n,
     rho2_limit,
     rho2_n,
 )
+from opucz.kernel import kernel_cd, kernel_direct
 from opucz.opuc import alpha_family, szego_build
 
 FAMILIES = ["zero", "constant:0.5", "decay:1:1"]
@@ -167,3 +170,44 @@ def test_rho2_uses_direct_route_near_singular_curve():
     got = rho2_n(b, z, w + 0.0005, n=30)
     assert np.isfinite(got.value)
     assert got.value >= 0
+
+
+def _rho1_public(basis, z, n):
+    """Oracle: rho1_n from the public kernel_direct at (z, z)."""
+    k = kernel_direct(basis, z, z, n=n)
+    K = k.K.real
+    return (k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K)
+
+
+def _rho2_public(basis, z, w, n):
+    """Oracle: rho2_n from the public kernel routes, one call per pair."""
+    def at(a, b):
+        if abs(1.0 - a * np.conj(b)) <= DIRECT_FALLBACK or n + 1 > basis.order:
+            return kernel_direct(basis, a, b, n=n)
+        return kernel_cd(basis, a, b, n=n)
+
+    if abs(z - w) < PAIR_COINCIDENCE:
+        return 0.0
+    kzz, kww, kzw, kwz = at(z, z), at(w, w), at(z, w), at(w, z)
+    D = kzz.K.real * kww.K.real - abs(kzw.K) ** 2
+    if D <= 0.0:
+        return 0.0
+    fzw, gzw = _fg(kzz, kww, kzw, kwz, D)
+    fwz, gwz = _fg(kww, kzz, kwz, kzw, D)
+    return float((fzw * fwz + (gzw * gwz).real) / math.pi**2)
+
+
+@pytest.mark.parametrize("fam", FAMILIES + ["weight:jacobi:pi:1"])
+def test_intensities_bit_for_bit_against_public_kernel_routes(fam):
+    # one values_at per point gives the same bits as the public routes,
+    # which evaluate every point anew for each kernel
+    rng = np.random.default_rng(21)
+    b = alpha_family(fam).build(31)
+    for _ in range(25):
+        z = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        w = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        near = (1 - 0.08 * rng.random() * np.exp(2j * np.pi * rng.random())) / np.conj(z)
+        for n in (5, 30, 31):  # n = 31: no degree n+1, direct sums only
+            assert rho1_n(b, z, n=n).value == _rho1_public(b, z, n)
+            for v in (w, complex(near)):  # |1 - z conj(v)| < 0.1 for near
+                assert rho2_n(b, z, v, n=n).value == _rho2_public(b, z, v, n)

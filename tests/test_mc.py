@@ -254,6 +254,23 @@ def test_worker_counts_agree_over_uneven_blocks():
         assert one.counts[t] == count_in_region(roots(basis, eta), reg)
 
 
+def test_audit_tallies_agree_over_uneven_blocks():
+    # 7 BLOCK + 3 trials: eight blocks of 28 or 29, audits at trials 0, 100
+    # and 200 in three of them, each block audited by the process that
+    # solves it
+    basis = alpha_family("zero").build(12)
+    trials = 7 * mc.BLOCK + 3
+    sizes = {hi - lo for lo, hi in mc._blocks(trials)}
+    assert len(sizes) == 2
+    args = (basis, coeff_model("gaussian"), Region.annulus(0.0, 0.6), trials, 21)
+    one = run_ensemble(*args, workers=1)
+    two = run_ensemble(*args, workers=2)
+    tally = (one.audited, one.audit_mismatches, one.audit_flagged)
+    assert tally == (two.audited, two.audit_mismatches, two.audit_flagged)
+    assert one.audited + one.audit_flagged == 3
+    assert np.array_equal(one.counts, two.counts)
+
+
 def test_convergence_study_opens_one_pool(monkeypatch):
     opened = []
 

@@ -114,6 +114,101 @@ def test_eval_poly_block_rows_match_single_vectors():
         eval_poly(b, etas, z)  # a block needs rows
 
 
+def _values_at_oracle(basis, z, upto=None, derivs=False):
+    """The recursion of values_at as a loop over numpy scalars that divides
+    by each norm."""
+    m = basis.order if upto is None else upto
+    a = basis.alphas
+    phi = np.empty(m + 1, dtype=np.complex128)
+    ps = np.empty(m + 1, dtype=np.complex128)
+    phi[0] = ps[0] = 1.0
+    dphi = np.zeros(m + 1, dtype=np.complex128)
+    dps = np.zeros(m + 1, dtype=np.complex128)
+    for j in range(m):
+        norm = math.sqrt(1.0 - abs(a[j]) ** 2)
+        if derivs:
+            dphi[j + 1] = (phi[j] + z * dphi[j] - np.conj(a[j]) * dps[j]) / norm
+            dps[j + 1] = (dps[j] - a[j] * (phi[j] + z * dphi[j])) / norm
+        phi[j + 1] = (z * phi[j] - np.conj(a[j]) * ps[j]) / norm
+        ps[j + 1] = (ps[j] - a[j] * z * phi[j]) / norm
+    return (phi, ps, dphi, dps) if derivs else (phi, ps)
+
+
+def _eval_poly_oracle(basis, eta, z, derivs=False, rows=None):
+    """eval_poly as separate value and derivative arrays, each step divided
+    by its norm."""
+    eta = np.asarray(eta, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    mods = np.abs(eta)
+    if rows is None:
+        coefs, sizes = iter(eta.tolist()), iter(mods.tolist())
+    else:
+        coefs = (c[rows] for c in np.ascontiguousarray(eta.T))
+        sizes = (c[rows] for c in np.ascontiguousarray(mods.T))
+    e0, m0 = next(coefs), next(sizes)
+    out = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=np.ones_like(z), where=out)
+    zw = np.where(out, 1.0, z)
+    aw = np.abs(w)
+    f, g = np.ones_like(z), np.ones_like(z)
+    df, dg, dp = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+    p = np.full_like(z, e0)
+    scale = np.full(z.shape, m0)
+    a = basis.alphas
+    norms = np.sqrt(1.0 - np.abs(a) ** 2)
+    for aj, norm, ej, mj in zip(a.tolist(), norms.tolist(), coefs, sizes):
+        caj = aj.conjugate()
+        zf = zw * f
+        if derivs:
+            d = w * f + zw * df
+            wdg = w * dg
+            df, dg = (d - caj * wdg) / norm, (wdg - aj * d) / norm
+            dp = w * dp + ej * df
+        wg = w * g
+        f, g = (zf - caj * wg) / norm, (wg - aj * zf) / norm
+        p = w * p + ej * f
+        scale = aw * scale + mj * np.abs(f)
+    return (p, dp, scale) if derivs else (p, scale)
+
+
+ORACLE_FAMILIES = ["zero", "constant:0.5", "decay:1:1", "weight:jacobi:pi:1"]
+# inside, on and outside the unit circle, on the axes and off them
+ORACLE_POINTS = [0.0, 0.3, -0.7 + 0.2j, 0.5j, -1j, 1.0, 0.6 - 0.8j,
+                 1.8 - 0.9j, -2.5, 40.0j]
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_values_at_bit_for_bit_against_numpy_scalar_oracle(fam):
+    b = alpha_family(fam).build(60)
+    for z in ORACLE_POINTS:
+        for derivs in (False, True):
+            for upto in (None, 0, 1, 23):
+                got = b.values_at(z, upto=upto, derivs=derivs)
+                want = _values_at_oracle(b, z, upto=upto, derivs=derivs)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.complex128
+                    assert np.array_equal(g, w), (z, derivs, upto)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_eval_poly_bit_for_bit_against_unstacked_oracle(fam):
+    rng = np.random.default_rng(10)
+    b = alpha_family(fam).build(50)
+    etas = rng.standard_normal((4, 51)) + 1j * rng.standard_normal((4, 51))
+    z = np.r_[ORACLE_POINTS, 1.3 * rng.random(40) * np.exp(2j * np.pi * rng.random(40))]
+    rows = rng.integers(0, 4, z.size)
+    for derivs in (False, True):
+        for args in ((etas[2], z), (etas, z.reshape(5, 10), derivs, rows.reshape(5, 10))):
+            kw = {} if len(args) > 2 else {"derivs": derivs}
+            got = eval_poly(b, *args, **kw)
+            want = _eval_poly_oracle(b, *args, **kw)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w), (derivs, len(args))
+
+
 def test_kappas_nondecreasing():
     fam = alpha_family("decay:0.9:0.5")
     b = fam.build(40)

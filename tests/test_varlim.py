@@ -140,3 +140,14 @@ def test_trapezoid_kills_cross_harmonics():
         assert abs(val) < 1e-14
     theta = 2 * np.pi * np.arange(10) / 10
     assert np.mean(np.exp(1j * 0 * theta)) == pytest.approx(1.0)
+
+
+def test_quadrature_bits_do_not_depend_on_pair_blocks(monkeypatch):
+    # each angular sum is one row's, so blocking the radial pairs (to bound
+    # the temporaries) leaves every bit of the result as it is
+    from opucz import varlim
+
+    annuli = [(0.3, 0.6), (1.15, 2.5), (0.0, 0.9)]
+    blocked = [var_limit_quadrature(s, t).value for s, t in annuli]
+    monkeypatch.setattr(varlim, "_PAIR_BLOCK", 1 << 30)  # one block
+    assert blocked == [var_limit_quadrature(s, t).value for s, t in annuli]
