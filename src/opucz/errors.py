@@ -34,6 +34,10 @@ class QuadratureNotConverged(ComputationError):
     """Adaptive refinement hit its node budget before the tolerance."""
 
 
+class SeriesNotConverged(ComputationError):
+    """A series reached its term cap before its tail bound met the tolerance."""
+
+
 class NearDiagonalSingularity(ComputationError):
     """Closed-form kernel evaluated too close to its removable singularity."""
 

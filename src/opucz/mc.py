@@ -7,9 +7,10 @@ The trials are cut into consecutive blocks of at most BLOCK indices, as
 equal in size as can be, whose edges depend on the trial count alone; the
 roots of a block are found together (zerocount.roots on its coefficient
 rows), and a row's roots never depend on the other rows.  One worker runs
-the blocks in-process, a pool maps the same blocks, and the counts are
-merged in trial-index order, so they are identical for any worker count by
-construction.  A convergence study opens one pool for all its degrees.
+the blocks in-process, a pool (of at most one process per CPU this process
+may use) maps the same blocks, and the counts are merged in trial-index
+order, so they are identical for any worker count by construction.  A
+convergence study opens one pool for all its degrees.
 
 The rootfinder is the count of record; on a 1% subsample of trials (the
 indices divisible by AUDIT_STRIDE) the argument-principle count audits it,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -149,8 +151,20 @@ def _blocks(trials: int) -> list:
     return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _pool(workers: int):
-    """A spawn pool of `workers` processes, or no pool for one worker."""
+    """A spawn pool of min(workers, CPUs) processes, or no pool for one.
+
+    The blocks depend on the trial count alone, so the bound changes no
+    count."""
+    workers = min(workers, _cpus())
     if workers == 1:
         return contextlib.nullcontext()
     return ProcessPoolExecutor(max_workers=workers,

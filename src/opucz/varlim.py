@@ -10,6 +10,12 @@ series keeps the structure
 with (a, b) = (t^2, s^2) inside the unit disk and the reciprocal squares
 outside; the branch sign is never hard-coded twice — it emerges from the
 reciprocal substitution.
+
+The quadrature is a tensor rule, Gauss-Legendre radial nodes times
+equispaced angular nodes, refined by doubling.  Its two-point sum uses the
+symmetry in the radial pair and in the angle (pairs i <= j, half the
+circle), and each angular doubling adds only the new nodes to the running
+sums, so every distinct value of the integrand is computed once.
 """
 from __future__ import annotations
 
@@ -19,15 +25,20 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureNotConverged, RegionTouchesCircle, UsageError
+from .errors import (
+    QuadratureNotConverged,
+    RegionTouchesCircle,
+    SeriesNotConverged,
+    UsageError,
+)
 from .zerocount import Region
 
 _SERIES_CAP = 2_000_000
 _RADIAL_CAP = 384
 _ANGULAR_CAP = 1 << 14
-# radial node pairs per block of the two-point sum: each block's
-# temporaries are _PAIR_BLOCK x (angular nodes) doubles, 2 MB at 256 nodes
-_PAIR_BLOCK = 1024
+# doubles per temporary of the two-point sum (2 MB): a block holds
+# _PAIR_BLOCK // (angular nodes) radial node pairs, at least one
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,8 @@ def var_limit_series(s: float, t: float, tol: float = 1e-12) -> VarianceResult:
     """Single-integral term minus the squared-difference series.
 
     The sum stops once the geometric tail bound (ratio max(t^4, (st)^2, s^4),
-    reciprocal radii outside) drops below tol.
+    reciprocal radii outside) drops below tol, and refuses if that takes
+    more than _SERIES_CAP terms.
     """
     region = _check_annulus(s, t)
     if tol <= 0:
@@ -87,35 +99,26 @@ def var_limit_series(s: float, t: float, tol: float = 1e-12) -> VarianceResult:
         # remaining terms are bounded by sum of pa^2 * a^(2j), j >= 0
         if pa * pa / (1.0 - a * a) < tol:
             break
+    else:
+        raise SeriesNotConverged(
+            f"series tail above {tol} after {_SERIES_CAP} terms")
     return VarianceResult(value=first - total, method="series", region=region)
 
 
-def _quad_value(s: float, t: float, radial, na: int) -> float:
-    # tensor polar rule: Gauss-Legendre radial (the leggauss nodes and
-    # weights in `radial`) x equispaced angular
-    x, w = radial
-    r = 0.5 * (t - s) * x + 0.5 * (t + s)
-    wr = 0.5 * (t - s) * w
-    dth = 2.0 * np.pi / na
-    psi = dth * np.arange(na)
-
-    # one-point term: integral of the limiting intensity over the annulus
-    rho1 = 1.0 / (np.pi * (1.0 - r * r) ** 2)
-    term1 = float(np.sum(wr * r * rho1) * dth * na)
-
-    # two-point term: 1/pi^2 * double integral of |1 - z conj(w)|^(-4).
-    # The integrand depends on the angles only through theta - phi, so the
-    # double trapezoid sum collapses exactly to na * (single sum over psi).
-    xprod = np.outer(r, r).ravel()
-    wprod = np.outer(wr * r, wr * r).ravel()
-    angsum = np.zeros_like(xprod)
-    cos_psi = np.cos(psi)
-    for lo in range(0, xprod.size, _PAIR_BLOCK):
-        xs = xprod[lo : lo + _PAIR_BLOCK, None]
-        angsum[lo : lo + _PAIR_BLOCK] = np.sum(
-            (1.0 - 2.0 * xs * cos_psi + xs * xs) ** -2.0, axis=1)
-    term2 = float(np.sum(wprod * angsum) * dth * dth * na / np.pi**2)
-    return term1 - term2
+def _row_sums(x: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """sum_k (1 - 2 x_i cos_k + x_i^2)^-2 for each x_i, in blocks of rows
+    whose temporary holds at most _PAIR_BLOCK doubles."""
+    out = np.empty_like(x)
+    rows = max(1, _PAIR_BLOCK // cos.size)
+    for lo in range(0, x.size, rows):
+        xs = x[lo : lo + rows, None]
+        y = (2.0 * xs) * cos
+        np.subtract(1.0, y, out=y)
+        y += xs * xs  # y >= (1 - x)^2 > 0: x = r_i r_j != 1
+        y *= y
+        np.divide(1.0, y, out=y)
+        out[lo : lo + rows] = np.sum(y, axis=1)
+    return out
 
 
 def var_limit_quadrature(s: float, t: float,
@@ -128,12 +131,45 @@ def var_limit_quadrature(s: float, t: float,
         return VarianceResult(value=0.0, method="quadrature", region=region)
 
     def stable_in_angle(nr: int) -> float:
-        radial = leggauss(nr)  # one rule for every angular refinement
+        # tensor polar rule: Gauss-Legendre radial x na equispaced angular
+        x, w = leggauss(nr)
+        r = 0.5 * (t - s) * x + 0.5 * (t + s)
+        wr = 0.5 * (t - s) * w
+
+        # one-point term: integral of the limiting intensity over the
+        # annulus; the angular sum is dth * na = 2 pi at every na
+        rho1 = 1.0 / (np.pi * (1.0 - r * r) ** 2)
+        term1 = float(np.sum(wr * r * rho1) * (2.0 * np.pi))
+
+        # two-point term: 1/pi^2 * double integral of |1 - z conj(w)|^(-4).
+        # The integrand depends on the angles only through psi = theta - phi,
+        # so the double trapezoid sum collapses exactly to na * (single sum
+        # over psi).  It is symmetric in the radial pair (x = r_i r_j) and
+        # even in psi, so it runs over pairs i <= j (doubled off the
+        # diagonal) and sums f(0) + f(pi) + 2 sum_{0 < k < na/2} f(psi_k).
+        # Doubling na keeps the old nodes as the even ones: each refinement
+        # adds only the new odd nodes to the running sums.
+        i, j = np.triu_indices(nr)
+        xprod = r[i] * r[j]
+        wrr = wr * r
+        wprod = np.where(i == j, 1.0, 2.0) * (wrr[i] * wrr[j])
+        ends = _row_sums(xprod, np.array([1.0, -1.0]))  # psi = 0 and pi
+
+        def value(na: int, inner: np.ndarray) -> float:
+            dth = 2.0 * np.pi / na
+            angsum = ends + 2.0 * inner
+            return term1 - float(
+                np.sum(wprod * angsum) * dth * dth * na / np.pi**2)
+
         na = 64
-        val = _quad_value(s, t, radial, na)
+        psi = 2.0 * np.pi / na * np.arange(1, na // 2)  # 0 < psi < pi
+        inner = _row_sums(xprod, np.cos(psi))
+        val = value(na, inner)
         while na <= _ANGULAR_CAP // 2:
             na *= 2
-            nxt = _quad_value(s, t, radial, na)
+            psi = 2.0 * np.pi / na * np.arange(1, na // 2, 2)  # the odd nodes
+            inner += _row_sums(xprod, np.cos(psi))
+            nxt = value(na, inner)
             if abs(nxt - val) < 0.25 * target:
                 return nxt
             val = nxt

@@ -287,3 +287,42 @@ def test_convergence_study_opens_one_pool(monkeypatch):
     alone = convergence_study(*args, trials=40, seed=5, workers=1)
     for a, b in zip(pooled, alone):
         assert np.array_equal(a.stats.counts, b.stats.counts)
+
+
+def test_pool_bounded_by_usable_cpus(monkeypatch):
+    # a fake executor records its size and maps in-process: no process starts
+    sizes = []
+
+    class Recorded:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    args = (alpha_family("zero").build(10), coeff_model("gaussian"),
+            Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
+    alone = run_ensemble(*args, workers=1)
+    assert sizes == []
+    for workers in (5000, 3, 2):
+        got = run_ensemble(*args, workers=workers)
+        assert np.array_equal(got.counts, alone.counts)
+    assert sizes == [3, 3, 2]
+
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
+    run_ensemble(*args, workers=5000)  # one usable CPU: in-process
+    assert sizes == [3, 3, 2]
+
+    monkeypatch.delattr(mc.os, "sched_getaffinity")  # no affinity call
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    convergence_study(alpha_family("zero"), coeff_model("gaussian"), QUARTER,
+                      [10, 20], trials=8, seed=5, workers=5000)
+    assert sizes == [3, 3, 2, 4]

@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from opucz.errors import RegionTouchesCircle, UsageError
+from opucz import varlim
+from opucz.errors import (
+    ComputationError,
+    QuadratureNotConverged,
+    RegionTouchesCircle,
+    SeriesNotConverged,
+    UsageError,
+)
 from opucz.varlim import (
     VarianceResult,
     var_limit_closed,
@@ -17,6 +27,8 @@ GRID = [
     (1.1, 1.4), (1.2, 1.6), (1.5, 2.0), (1.25, 1.75),
     (1.9, 2.4), (1.05, 1.3), (2.0, 3.0), (1.3, 2.2),
 ]
+# the variance-limit annuli of the benchmark's formula grid
+BENCH_ANNULI = [(0.3, 0.6), (0.05, 0.85), (1.3, 2.0), (1.15, 2.5)]
 
 
 def test_closed_frozen_values():
@@ -151,3 +163,102 @@ def test_quadrature_bits_do_not_depend_on_pair_blocks(monkeypatch):
     blocked = [var_limit_quadrature(s, t).value for s, t in annuli]
     monkeypatch.setattr(varlim, "_PAIR_BLOCK", 1 << 30)  # one block
     assert blocked == [var_limit_quadrature(s, t).value for s, t in annuli]
+
+
+def test_series_refuses_at_its_term_cap():
+    # t^2 = 1 - 2e-7 needs about 1e8 terms for a 1e-12 tail: the capped sum
+    # was 3.62e6 against the closed 2.5e6
+    with pytest.raises(SeriesNotConverged) as info:
+        var_limit_series(0.5, 0.9999999)
+    assert isinstance(info.value, ComputationError)
+    got = var_limit_series(0.5, 0.99999).value  # about 1e6 terms
+    assert abs(got - var_limit_closed(0.5, 0.99999).value) < 1e-7
+
+
+def test_quadrature_temporaries_bounded():
+    # 16,384 angular nodes: a block of 1,024 node pairs held 128 MiB
+    tracemalloc.start()
+    try:
+        var_limit_quadrature(0.5, 0.995)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _quad_value_oracle(s, t, radial, na):
+    # the full tensor rule: every ordered radial pair, the whole circle
+    x, w = radial
+    r = 0.5 * (t - s) * x + 0.5 * (t + s)
+    wr = 0.5 * (t - s) * w
+    dth = 2.0 * np.pi / na
+    psi = dth * np.arange(na)
+    rho1 = 1.0 / (np.pi * (1.0 - r * r) ** 2)
+    term1 = float(np.sum(wr * r * rho1) * dth * na)
+    xprod = np.outer(r, r).ravel()
+    wprod = np.outer(wr * r, wr * r).ravel()
+    angsum = np.zeros_like(xprod)
+    cos_psi = np.cos(psi)
+    for lo in range(0, xprod.size, 1024):
+        xs = xprod[lo : lo + 1024, None]
+        angsum[lo : lo + 1024] = np.sum(
+            (1.0 - 2.0 * xs * cos_psi + xs * xs) ** -2.0, axis=1)
+    term2 = float(np.sum(wprod * angsum) * dth * dth * na / np.pi**2)
+    return term1 - term2
+
+
+def _quadrature_oracle(s, t, target=1e-8):
+    """(value, nr, na) of the refinement loop, each rule summed afresh."""
+    def stable_in_angle(nr):
+        radial = leggauss(nr)
+        na = 64
+        val = _quad_value_oracle(s, t, radial, na)
+        while na <= varlim._ANGULAR_CAP // 2:
+            na *= 2
+            nxt = _quad_value_oracle(s, t, radial, na)
+            if abs(nxt - val) < 0.25 * target:
+                return nxt, na
+            val = nxt
+        raise QuadratureNotConverged("angular")
+
+    nr = 16
+    val, _ = stable_in_angle(nr)
+    while nr <= varlim._RADIAL_CAP // 2:
+        nr *= 2
+        nxt, na = stable_in_angle(nr)
+        if abs(nxt - val) < target:
+            return nxt, nr, na
+        val = nxt
+    raise QuadratureNotConverged("radial")
+
+
+@pytest.mark.parametrize("s,t", GRID + BENCH_ANNULI)
+def test_quadrature_matches_full_rule_oracle(s, t, monkeypatch):
+    # the pair-symmetric, half-circle, nested sums reorder the full rule's
+    # sum: same value to roundoff, refinement stops at the same orders
+    calls = []
+    row_sums = varlim._row_sums
+
+    def recorded(x, cos):
+        calls.append((x.size, cos.size))
+        return row_sums(x, cos)
+
+    monkeypatch.setattr(varlim, "_row_sums", recorded)
+    got = var_limit_quadrature(s, t).value
+    want, nr, na = _quadrature_oracle(s, t)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    pairs, odd_nodes = calls[-1]  # the last level adds na/4 odd nodes
+    assert (pairs, 4 * odd_nodes) == (nr * (nr + 1) // 2, na)
+
+
+def test_nested_half_range_sum_equals_full_circle():
+    x = np.array([0.0, 0.09, 0.5, 0.81, 0.97, 1.3 * 1.5, 2.0 * 2.5])
+    ends = varlim._row_sums(x, np.array([1.0, -1.0]))
+    inner = varlim._row_sums(x, np.cos(2.0 * np.pi / 64 * np.arange(1, 32)))
+    for na in (128, 256):
+        odd = 2.0 * np.pi / na * np.arange(1, na // 2, 2)
+        inner += varlim._row_sums(x, np.cos(odd))
+    psi = 2.0 * np.pi / 256 * np.arange(256)
+    full = np.sum((1.0 - 2.0 * x[:, None] * np.cos(psi) + x[:, None] ** 2)
+                  ** -2.0, axis=1)
+    assert np.allclose(ends + 2.0 * inner, full, rtol=1e-13, atol=0.0)
