@@ -3,14 +3,20 @@
 Subcommands: basis, kernel, intensity, simulate, convergence,
 variance-limit.  Long-form flags only.  Exit codes: 0 success, 2 usage
 error, 1 computation error.  Numeric stdout uses 12 significant digits.
-Flags may also come from a JSON config file via --config (explicit flags
-win); every artifact-writing run echoes its fully resolved config into the
-summary JSON so the file can be fed straight back to --config.
+
+One table, `_COMMANDS`, gives each subcommand its runner, help text and an
+ordered map {flag: (converter, default or _REQUIRED)}.  It alone builds the
+parser, picks the keys of a JSON --config file, merges that file under the
+explicit flags, and converts the merged values in one pass into the typed
+dict the runner reads.  Every artifact-writing run echoes that dict as the
+`config` of its summary JSON, so the file can be fed back to --config.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 import time
@@ -48,18 +54,9 @@ def parse_region(text: str) -> Region:
         "sector:<r>:<alpha>:<beta>")
 
 
-def _parse_complex(text, flag: str) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
-    try:
-        return complex(str(text).replace(" ", ""))
-    except ValueError:
-        raise UsageError(f"--{flag}: not a complex number: {text!r}") from None
-
-
-def _integer(value, flag: str) -> int:
-    """An integer flag value; from a config file also an integral float or a
-    decimal string.  Anything else is a usage error naming --flag."""
+def _integer(value) -> int:
+    """An integer; from a config file also an integral float or a decimal
+    string."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -67,69 +64,81 @@ def _integer(value, flag: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise UsageError(f"--{flag}: not an integer: {value!r}")
+    raise ValueError(f"not an integer: {value!r}")
 
 
-def _real(value, flag: str) -> float:
-    """A real flag value, or a usage error naming --flag."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--{flag}: not a number: {value!r}") from None
+def _real(value) -> float:
+    """A finite real number; a JSON boolean is not one."""
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ValueError(f"not a finite number: {value!r}")
 
 
-def _need(cfg: dict, key: str):
-    if cfg.get(key) is None:
-        raise UsageError(f"missing required flag --{key.replace('_', '-')}")
-    return cfg[key]
+def _complex(value) -> complex:
+    """A finite complex number: a JSON number, or text such as 0.2 + 0.1j."""
+    if not isinstance(value, bool):
+        if not isinstance(value, (int, float)):
+            value = str(value).replace(" ", "")
+        try:
+            z = complex(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise ValueError(f"not a finite complex number: {value!r}")
 
 
-def _threads(cfg: dict) -> int:
+def _switch(value) -> bool:
+    """An on/off flag: given bare on the command line, or a JSON boolean."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"not a JSON boolean: {value!r}")
+
+
+def _choice(options: dict):
+    """A converter from a name to what `options` maps it to."""
+    def convert(value):
+        if str(value) not in options:
+            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
+        return options[str(value)]
+    convert.metavar = "{" + ",".join(options) + "}"
+    return convert
+
+
+def _degrees(value) -> list:
+    """Comma-separated degrees, or a JSON list of them."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    return [_integer(v) for v in value]
+
+
+def _threads(value) -> int:
+    """The worker count; the OPUCZ_THREADS environment variable wins."""
     env = os.environ.get("OPUCZ_THREADS")
     if env is not None:
         try:
-            k = int(env)
-        except ValueError:
-            raise UsageError(f"OPUCZ_THREADS: not an integer: {env!r}") from None
-    elif cfg.get("threads") is not None:
-        k = _integer(cfg["threads"], "threads")
-    else:
-        k = os.cpu_count() or 1
+            value = _integer(env)
+        except ValueError as e:
+            raise UsageError(f"OPUCZ_THREADS: {e}") from None
+    k = _integer(value)
     if k < 1:
-        raise UsageError("thread count must be >= 1")
+        raise ValueError(f"thread count must be >= 1, got {k}")
     return k
 
 
-def _write_bytes(path: str, text: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-_DEFAULTS = {
-    "basis": {"alphas": None, "n": None, "report": False},
-    "kernel": {"alphas": None, "n": None, "z": None, "w": None, "route": "cd"},
-    "intensity": {"alphas": None, "n": None, "z": None, "w": None,
-                  "limit": False},
-    "simulate": {"alphas": None, "n": None, "model": "gaussian",
-                 "region": None, "trials": None, "seed": 0, "out": None,
-                 "threads": None},
-    "convergence": {"alphas": None, "model": "gaussian", "region": None,
-                    "ns": None, "trials": None, "seed": 0, "out": None,
-                    "threads": None},
-    "variance-limit": {"s": None, "t": None, "method": "closed",
-                       "tol": 1e-12, "target": 1e-8},
-}
-
-
 def _run_basis(cfg: dict) -> int:
-    fam = alpha_family(str(_need(cfg, "alphas")))
-    n = _integer(_need(cfg, "n"), "n")
-    basis = fam.build(n)
-    if cfg.get("report"):
+    n = cfg["n"]
+    basis = alpha_family(cfg["alphas"]).build(n)
+    if cfg["report"]:
         rep = regularity_report(basis)
         print("k,epsilon_k,nevai_proxy")
         for k in range(1, n + 1):
@@ -142,78 +151,52 @@ def _run_basis(cfg: dict) -> int:
 
 
 def _run_kernel(cfg: dict) -> int:
-    fam = alpha_family(str(_need(cfg, "alphas")))
-    n = _integer(_need(cfg, "n"), "n")
-    z = _parse_complex(_need(cfg, "z"), "z")
-    w = _parse_complex(_need(cfg, "w"), "w")
-    route = str(cfg.get("route", "cd"))
-    if route not in ("direct", "cd"):
-        raise UsageError(f"--route: {route!r} is not direct or cd")
-    basis = fam.build(n + 1)
-    fn = kernel_direct if route == "direct" else kernel_cd
-    k = fn(basis, z, w, n=n)
-    print(f"K {_fmt_c(k.K)}")
-    print(f"K01 {_fmt_c(k.K01)}")
-    print(f"K11 {_fmt_c(k.K11)}")
+    basis = alpha_family(cfg["alphas"]).build(cfg["n"] + 1)
+    k = cfg["route"](basis, cfg["z"], cfg["w"], n=cfg["n"])
+    for name in ("K", "K01", "K11"):
+        print(f"{name} {_fmt_c(getattr(k, name))}")
     return 0
 
 
 def _run_intensity(cfg: dict) -> int:
-    z = _parse_complex(_need(cfg, "z"), "z")
-    w = cfg.get("w")
-    if cfg.get("limit"):
-        if w is None:
-            out = rho1_limit(z)
-        else:
-            out = rho2_limit(z, _parse_complex(w, "w"))
+    z, w, n = cfg["z"], cfg["w"], cfg["n"]
+    if cfg["limit"]:
+        out = rho1_limit(z) if w is None else rho2_limit(z, w)
     else:
-        fam = alpha_family(str(_need(cfg, "alphas")))
-        n = _integer(_need(cfg, "n"), "n")
-        basis = fam.build(n + 1)
-        if w is None:
-            out = rho1_n(basis, z, n=n)
-        else:
-            out = rho2_n(basis, z, _parse_complex(w, "w"), n=n)
+        for flag in ("alphas", "n"):  # the finite-degree intensity needs both
+            if cfg[flag] is None:
+                raise UsageError(f"missing required flag --{flag}")
+        basis = alpha_family(cfg["alphas"]).build(n + 1)
+        out = rho1_n(basis, z, n=n) if w is None else rho2_n(basis, z, w, n=n)
     print(_fmt(out.value))
     return 0
 
 
-def _counts_csv(stats) -> str:
-    lines = ["trial,count"]
-    for t, c in zip(stats.trial_indices, stats.counts):
-        lines.append(f"{t},{c}")
-    return "\n".join(lines) + "\n"
+def _write_run(cfg: dict, command: str, elapsed: float, files: dict,
+               **results) -> None:
+    """Write `<out><suffix>` for each of `files`, then `<out>.summary.json`
+    (command, typed config, n/trials/seed/region, results, elapsed time)."""
+    echoed = {k: cfg[k] for k in ("n", "trials", "seed", "region") if k in cfg}
+    summary = {"command": command, "config": cfg, **echoed, **results,
+               "elapsed_seconds": elapsed}
+    files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
+    for suffix, text in files.items():
+        with open(cfg["out"] + suffix, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _run_simulate(cfg: dict) -> int:
     t0 = time.perf_counter()
-    alphas = str(_need(cfg, "alphas"))
-    n = _integer(_need(cfg, "n"), "n")
-    model_name = str(cfg.get("model", "gaussian"))
-    region_text = str(_need(cfg, "region"))
-    trials = _integer(_need(cfg, "trials"), "trials")
-    seed = _integer(cfg.get("seed", 0), "seed")
-    out = str(_need(cfg, "out"))
-    workers = _threads(cfg)
-
-    basis = alpha_family(alphas).build(n)
-    stats = run_ensemble(basis, coeff_model(model_name),
-                         parse_region(region_text), trials, seed,
-                         workers=workers)
-    elapsed = time.perf_counter() - t0
-
-    resolved = {"alphas": alphas, "n": n, "model": model_name,
-                "region": region_text, "trials": trials, "seed": seed,
-                "out": out, "threads": workers}
-    summary = {
-        "command": "simulate", "config": resolved, "n": n, "trials": trials,
-        "seed": seed, "region": region_text, "mean": stats.mean,
-        "variance": stats.variance, "se_mean": stats.se_mean,
-        "se_var": stats.se_var, "excluded": stats.excluded,
-        "elapsed_seconds": elapsed,
-    }
-    _write_bytes(f"{out}.counts.csv", _counts_csv(stats))
-    _write_bytes(f"{out}.summary.json", json.dumps(summary, indent=2) + "\n")
+    stats = run_ensemble(alpha_family(cfg["alphas"]).build(cfg["n"]),
+                         coeff_model(cfg["model"]), parse_region(cfg["region"]),
+                         cfg["trials"], cfg["seed"], workers=cfg["threads"])
+    counts = ["trial,count"] + [f"{t},{c}" for t, c in
+                                zip(stats.trial_indices, stats.counts)]
+    _write_run(cfg, "simulate", time.perf_counter() - t0,
+               {".counts.csv": "\n".join(counts) + "\n"},
+               mean=stats.mean, variance=stats.variance,
+               se_mean=stats.se_mean, se_var=stats.se_var,
+               excluded=stats.excluded)
     print(f"mean {_fmt(stats.mean)} variance {_fmt(stats.variance)} "
           f"se_mean {_fmt(stats.se_mean)} se_var {_fmt(stats.se_var)} "
           f"excluded {stats.excluded}")
@@ -275,144 +258,89 @@ def _convergence_svg(rows) -> str:
     return "\n".join(parts) + "\n"
 
 
+_CONVERGENCE_COLUMNS = ("n", "mean_abs_dev", "var_over_n2",
+                        "envelope_sqrtlogn", "envelope_eps14")
+
+
 def _run_convergence(cfg: dict) -> int:
     t0 = time.perf_counter()
-    alphas = str(_need(cfg, "alphas"))
-    model_name = str(cfg.get("model", "gaussian"))
-    region_text = str(_need(cfg, "region"))
-    raw_ns = _need(cfg, "ns")
-    if isinstance(raw_ns, str):
-        raw_ns = [tok for tok in raw_ns.split(",") if tok.strip()]
-    elif not isinstance(raw_ns, list):
-        raw_ns = [raw_ns]
-    ns = [_integer(v, "ns") for v in raw_ns]
-    trials = _integer(_need(cfg, "trials"), "trials")
-    seed = _integer(cfg.get("seed", 0), "seed")
-    out = str(_need(cfg, "out"))
-    workers = _threads(cfg)
-
-    rows = convergence_study(alpha_family(alphas), coeff_model(model_name),
-                             parse_region(region_text), ns, trials, seed,
-                             workers=workers)
-    elapsed = time.perf_counter() - t0
-
-    header = "n,mean_abs_dev,var_over_n2,envelope_sqrtlogn,envelope_eps14"
-    csv_lines = [header]
-    for r in rows:
-        csv_lines.append(
-            f"{r.n},{_fmt(r.mean_abs_dev)},{_fmt(r.var_over_n2)},"
-            f"{_fmt(r.envelope_sqrtlogn)},{_fmt(r.envelope_eps14)}")
-    _write_bytes(f"{out}.csv", "\n".join(csv_lines) + "\n")
-    _write_bytes(f"{out}.svg", _convergence_svg(rows))
-
-    resolved = {"alphas": alphas, "model": model_name, "region": region_text,
-                "ns": ns, "trials": trials, "seed": seed, "out": out,
-                "threads": workers}
-    summary = {
-        "command": "convergence", "config": resolved, "trials": trials,
-        "seed": seed, "region": region_text,
-        "rows": [{"n": r.n, "mean_abs_dev": r.mean_abs_dev,
-                  "var_over_n2": r.var_over_n2,
-                  "envelope_sqrtlogn": r.envelope_sqrtlogn,
-                  "envelope_eps14": r.envelope_eps14} for r in rows],
-        "elapsed_seconds": elapsed,
-    }
-    _write_bytes(f"{out}.summary.json", json.dumps(summary, indent=2) + "\n")
+    # read as a module global at call time, so a wrapper set on this module
+    # sees the call
+    rows = convergence_study(alpha_family(cfg["alphas"]),
+                             coeff_model(cfg["model"]),
+                             parse_region(cfg["region"]), cfg["ns"],
+                             cfg["trials"], cfg["seed"], workers=cfg["threads"])
+    csv_lines = [",".join(_CONVERGENCE_COLUMNS)] + [
+        ",".join([str(r.n)] + [_fmt(getattr(r, c))
+                               for c in _CONVERGENCE_COLUMNS[1:]])
+        for r in rows]
+    _write_run(cfg, "convergence", time.perf_counter() - t0,
+               {".csv": "\n".join(csv_lines) + "\n",
+                ".svg": _convergence_svg(rows)},
+               rows=[{c: getattr(r, c) for c in _CONVERGENCE_COLUMNS}
+                     for r in rows])
     for line in csv_lines:
         print(line)
     return 0
 
 
 def _run_variance_limit(cfg: dict) -> int:
-    s = _real(_need(cfg, "s"), "s")
-    t = _real(_need(cfg, "t"), "t")
-    method = str(cfg.get("method", "closed"))
-    if method == "closed":
-        res = var_limit_closed(s, t)
-    elif method == "series":
-        tol = _real(cfg.get("tol", 1e-12), "tol")
-        res = var_limit_series(s, t, tol=tol)
-    elif method == "quadrature":
-        target = _real(cfg.get("target", 1e-8), "target")
-        res = var_limit_quadrature(s, t, target=target)
-    else:
-        raise UsageError(
-            f"--method: {method!r} is not closed, series, or quadrature")
-    print(_fmt(res.value))
+    print(_fmt(cfg["method"](cfg).value))
     return 0
 
 
-_RUNNERS = {
-    "basis": _run_basis,
-    "kernel": _run_kernel,
-    "intensity": _run_intensity,
-    "simulate": _run_simulate,
-    "convergence": _run_convergence,
-    "variance-limit": _run_variance_limit,
+_REQUIRED = object()  # the default of a flag that must be given
+
+# simulate takes all but ns, convergence all but n
+_ENSEMBLE = {"alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
+             "model": (str, "gaussian"), "region": (str, _REQUIRED),
+             "ns": (_degrees, _REQUIRED), "trials": (_integer, _REQUIRED),
+             "seed": (_integer, 0), "out": (str, _REQUIRED),
+             "threads": (_threads, os.cpu_count() or 1)}
+
+_COMMANDS = {
+    "basis": (_run_basis, "build a basis and report diagnostics", {
+        "alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
+        "report": (_switch, False)}),
+    "kernel": (_run_kernel, "evaluate the reproducing kernel", {
+        "alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
+        "z": (_complex, _REQUIRED), "w": (_complex, _REQUIRED),
+        "route": (_choice({"direct": kernel_direct, "cd": kernel_cd}), "cd")}),
+    "intensity": (_run_intensity, "one- or two-point zero intensity", {
+        "alphas": (str, None), "n": (_integer, None),
+        "z": (_complex, _REQUIRED), "w": (_complex, None),
+        "limit": (_switch, False)}),
+    "simulate": (_run_simulate, "Monte Carlo zero-count ensemble", {
+        k: v for k, v in _ENSEMBLE.items() if k != "ns"}),
+    "convergence": (_run_convergence, "deviation-vs-degree study", {
+        k: v for k, v in _ENSEMBLE.items() if k != "n"}),
+    "variance-limit": (_run_variance_limit, "limiting count variance", {
+        "s": (_real, _REQUIRED), "t": (_real, _REQUIRED),
+        "method": (_choice({
+            "closed": lambda c: var_limit_closed(c["s"], c["t"]),
+            "series": lambda c: var_limit_series(c["s"], c["t"],
+                                                 tol=c["tol"]),
+            "quadrature": lambda c: var_limit_quadrature(
+                c["s"], c["t"], target=c["target"])}), "closed"),
+        "tol": (_real, 1e-12), "target": (_real, 1e-8)}),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag is a string, except a switch, which is `store_true`; flags
+    not given are left out, so a config file can supply them."""
     parser = argparse.ArgumentParser(
         prog="opucz",
         description="Zero statistics of random polynomial ensembles on "
                     "the unit circle")
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("basis", help="build a basis and report diagnostics")
-    p.add_argument("--alphas", default=S)
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--report", action="store_true", default=S)
-    p.add_argument("--config", default=S)
-
-    p = sub.add_parser("kernel", help="evaluate the reproducing kernel")
-    p.add_argument("--alphas", default=S)
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--z", default=S)
-    p.add_argument("--w", default=S)
-    p.add_argument("--route", default=S, choices=("direct", "cd"))
-    p.add_argument("--config", default=S)
-
-    p = sub.add_parser("intensity", help="one- or two-point zero intensity")
-    p.add_argument("--alphas", default=S)
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--z", default=S)
-    p.add_argument("--w", default=S)
-    p.add_argument("--limit", action="store_true", default=S)
-    p.add_argument("--config", default=S)
-
-    p = sub.add_parser("simulate", help="Monte Carlo zero-count ensemble")
-    p.add_argument("--alphas", default=S)
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--model", default=S)
-    p.add_argument("--region", default=S)
-    p.add_argument("--trials", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--threads", type=int, default=S)
-    p.add_argument("--config", default=S)
-
-    p = sub.add_parser("convergence", help="deviation-vs-degree study")
-    p.add_argument("--alphas", default=S)
-    p.add_argument("--model", default=S)
-    p.add_argument("--region", default=S)
-    p.add_argument("--ns", default=S)
-    p.add_argument("--trials", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--threads", type=int, default=S)
-    p.add_argument("--config", default=S)
-
-    p = sub.add_parser("variance-limit", help="limiting count variance")
-    p.add_argument("--s", type=float, default=S)
-    p.add_argument("--t", type=float, default=S)
-    p.add_argument("--method", default=S,
-                   choices=("closed", "series", "quadrature"))
-    p.add_argument("--tol", type=float, default=S)
-    p.add_argument("--target", type=float, default=S)
-    p.add_argument("--config", default=S)
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, (convert, _) in flags.items():
+            kind = ({"action": "store_true"} if convert is _switch else
+                    {"metavar": getattr(convert, "metavar", None)})
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **kind)
+        p.add_argument("--config", default=argparse.SUPPRESS)
     return parser
 
 
@@ -431,21 +359,35 @@ def _load_config(path: str, allowed) -> dict:
     return {k: v for k, v in data.items() if k in allowed}
 
 
+def _convert(flags: dict, given: dict) -> dict:
+    """The typed value of every flag, in table order.  An absent or null
+    value takes the default; a converter's ValueError, or a missing required
+    flag, is a usage error naming the flag."""
+    typed = {}
+    for flag, (convert, default) in flags.items():
+        value = given.get(flag)
+        if value is None:
+            value = default
+        if value is _REQUIRED:
+            raise UsageError(f"missing required flag --{flag}")
+        try:
+            typed[flag] = None if value is None else convert(value)
+        except ValueError as e:
+            raise UsageError(f"--{flag}: {e}") from None
+    return typed
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        given = vars(_build_parser().parse_args(argv))
     except SystemExit as e:
         return int(e.code or 0)
-    given = {k: v for k, v in vars(ns).items() if k != "command"}
-    command = ns.command
-    defaults = _DEFAULTS[command]
+    run, _, flags = _COMMANDS[given.pop("command")]
     try:
         conf_path = given.pop("config", None)
-        file_cfg = _load_config(conf_path, set(defaults)) if conf_path else {}
-        merged = {**defaults, **file_cfg, **given}
-        return _RUNNERS[command](merged)
+        file_cfg = _load_config(conf_path, flags) if conf_path else {}
+        return run(_convert(flags, {**file_cfg, **given}))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -190,25 +191,37 @@ def test_convergence_artifacts(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
-    cases = [
-        ("variance-limit", "--s", "0.5"),  # missing --t
-        ("variance-limit", "--s", "0.5", "--t", "1.5"),  # touches circle
-        ("simulate", "--alphas", "zero", "--n", "5", "--region",
-         "annulus:0.5:0.2", "--trials", "4", "--out", str(tmp_path / "x")),
-        ("simulate", "--alphas", "zero", "--n", "5", "--region",
-         "blob:1:2", "--trials", "4", "--out", str(tmp_path / "x")),
-        ("simulate", "--alphas", "zero", "--n", "5", "--region",
-         "annulus:0:0.5", "--trials", "4", "--model", "cauchy", "--out",
-         str(tmp_path / "x")),
-        ("convergence", "--alphas", "zero", "--region", "sector:0.5:0:1",
-         "--ns", "10,abc", "--trials", "4", "--out", str(tmp_path / "x")),
-        ("intensity", "--alphas", "zero", "--n", "4", "--z", "spam"),
-        ("basis", "--alphas", "nonsense:3", "--n", "4"),
+    cases = [  # (argv, a piece of the message)
+        (("variance-limit", "--s", "0.5"), "--t"),  # missing --t
+        (("variance-limit", "--s", "0.5", "--t", "1.5"), "touches"),
+        (("simulate", "--alphas", "zero", "--n", "5", "--region",
+          "annulus:0.5:0.2", "--trials", "4", "--out", str(tmp_path / "x")),
+         "annulus"),
+        (("simulate", "--alphas", "zero", "--n", "5", "--region",
+          "blob:1:2", "--trials", "4", "--out", str(tmp_path / "x")),
+         "--region"),
+        (("simulate", "--alphas", "zero", "--n", "5", "--region",
+          "annulus:0:0.5", "--trials", "4", "--model", "cauchy", "--out",
+          str(tmp_path / "x")), "cauchy"),
+        (("convergence", "--alphas", "zero", "--region", "sector:0.5:0:1",
+          "--ns", "10,abc", "--trials", "4", "--out", str(tmp_path / "x")),
+         "--ns"),
+        (("intensity", "--alphas", "zero", "--n", "4", "--z", "spam"), "--z"),
+        (("basis", "--alphas", "nonsense:3", "--n", "4"), "nonsense"),
+        # non-finite numbers are refused before any work starts
+        (("variance-limit", "--s", "0.1", "--t", "0.5", "--method", "series",
+          "--tol", "nan"), "--tol"),
+        (("variance-limit", "--s", "0.1", "--t", "0.5", "--method",
+          "quadrature", "--target", "nan"), "--target"),
+        (("variance-limit", "--s", "2", "--t", "inf"), "--t"),
+        (("intensity", "--alphas", "zero", "--n", "5", "--z", "nan"), "--z"),
+        (("kernel", "--alphas", "zero", "--n", "5", "--z", "0.1",
+          "--w", "inf+1j"), "--w"),
     ]
-    for argv in cases:
+    for argv, piece in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert "usage error" in err
+        assert "usage error" in err and piece in err, (argv, err)
 
 
 def test_unknown_flag_and_subcommand_exit_2(capsys):
@@ -256,6 +269,18 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         ("variance-limit", {"s": "low", "t": 0.5}, "--s"),
         ("variance-limit", {"s": 0.1, "t": 0.5, "method": "series",
                             "tol": [1]}, "--tol"),
+        # checked even where --method does not use it
+        ("variance-limit", {"s": 0.1, "t": 0.5, "method": "closed",
+                            "tol": [1]}, "--tol"),
+        ("variance-limit", {"s": 0.1, "t": 0.5, "method": "series",
+                            "tol": "nan"}, "--tol"),
+        ("variance-limit", {"s": True, "t": 0.5}, "--s"),
+        ("variance-limit", {"s": 0.1, "t": float("inf")}, "--t"),
+        ("intensity", {"alphas": "zero", "n": 5, "z": "nan"}, "--z"),
+        ("intensity", {"alphas": "zero", "n": 5, "z": True}, "--z"),
+        # a config switch is a JSON boolean, never read by truthiness
+        ("basis", {"alphas": "zero", "n": 4, "report": "false"}, "--report"),
+        ("intensity", {"z": 0.2, "limit": "no"}, "--limit"),
     ]
     for k, (command, cfg, flag) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -263,6 +288,23 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, command, "--config", str(path))
         assert code == 2, (command, cfg)
         assert "usage error" in err and flag in err, (command, cfg, err)
+
+
+def test_config_null_takes_default(tmp_path, capsys):
+    cfg = {"alphas": "zero", "n": 5, "region": "annulus:0:0.5", "trials": 8,
+           "threads": 1}
+    runs = {"absent": cfg, "null": {**cfg, "model": None, "seed": None}}
+    for name, conf in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(conf))
+        code, _, err = run(capsys, "simulate", "--config", str(path), "--out",
+                           str(tmp_path / name))
+        assert code == 0, err
+    assert (tmp_path / "absent.counts.csv").read_bytes() == \
+        (tmp_path / "null.counts.csv").read_bytes()
+    summary = json.loads((tmp_path / "null.summary.json").read_text())
+    assert summary["config"]["model"] == "gaussian"
+    assert summary["config"]["seed"] == 0
 
 
 def test_integral_config_numbers_accepted(tmp_path, capsys, monkeypatch):
@@ -292,3 +334,61 @@ def test_region_grammar_total():
                 "sector:0.5:0:junk", "blob:1:2", "annulus:x:0.5"):
         with pytest.raises(UsageError):
             parse_region(bad)
+
+
+def test_readme_commands_golden(tmp_path, capsys, monkeypatch):
+    # the exact output of the README's commands (simulate and convergence
+    # with fewer trials and degrees); any change to these bytes is deliberate
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    printed = {
+        ("variance-limit", "--s", "0.3", "--t", "0.6", "--method", "closed"):
+            "0.373505518735\n",
+        ("basis", "--alphas", "decay:1:1", "--n", "12", "--report"):
+            "k,epsilon_k,nevai_proxy\n"
+            "1,0.143841036226,0.8\n"
+            "2,0.101366277027,0.56437347549\n"
+            "3,0.0783339382076,0.454222700231\n"
+            "4,0.0638532029707,0.389893210352\n"
+            "5,0.0538996500733,0.347826086957\n"
+            "6,0.0466346489946,0.309090909091\n"
+            "7,0.0410974389217,0.274247491639\n"
+            "8,0.0367366665564,0.244509516837\n"
+            "9,0.0332131667086,0.219570405728\n"
+            "10,0.0303067901785,0.198711063373\n"
+            "11,0.0278683851312,0.181188690133\n"
+            "12,0.0257933003503,0.166358106321\n",
+        ("kernel", "--alphas", "zero", "--n", "100", "--z", "0.3", "--w",
+         "0.2+0.1j", "--route", "cd"):
+            "K 1.06274731487-0.0339174674958j\n"
+            "K01 0.338484438197-0.0216274185049j\n"
+            "K11 1.2649844097-0.157675377477j\n",
+        ("intensity", "--alphas", "decay:1:1", "--n", "160", "--z", "0.5"):
+            "0.56568278812\n",
+        ("intensity", "--limit", "--z", "0.2", "--w", "-0.3"):
+            "0.052506504717\n",
+    }
+    for argv, expected in printed.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, expected), (argv, err)
+
+    sim, conv = tmp_path / "run1", tmp_path / "conv1"
+    code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "100",
+                       "--model", "gaussian", "--region", "annulus:0:0.5",
+                       "--trials", "200", "--seed", "42", "--out", str(sim))
+    assert code == 0, err
+    code, _, err = run(capsys, "convergence", "--alphas", "zero", "--region",
+                       "sector:0.5:0:pi/2", "--ns", "10,20", "--trials", "40",
+                       "--seed", "42", "--out", str(conv))
+    assert code == 0, err
+    digests = {suffix: hashlib.sha256(
+        (tmp_path / f"{stem}{suffix}").read_bytes()).hexdigest()
+        for stem, suffix in (("run1", ".counts.csv"), ("conv1", ".csv"),
+                             ("conv1", ".svg"))}
+    assert digests == {
+        ".counts.csv":
+            "a55b16999ea1f2b0f8024c32a81c6ead1429d0393070cb7f76cfa3ce53f7d8f7",
+        ".csv":
+            "ce3c6dff8f170651b4e87e47c64761d89a6c84be5cf4d5ae7486d99958bfd260",
+        ".svg":
+            "b80a5346ef1bb942d3e3b73c88478fbe7ad981073be5ac85bdcbe64fedad90ba",
+    }

@@ -238,8 +238,9 @@ def test_blocks_depend_on_trials_alone():
         assert max(sizes) <= mc.BLOCK and max(sizes) - min(sizes) <= 1
 
 
-def test_worker_counts_agree_over_uneven_blocks():
+def test_worker_counts_agree_over_uneven_blocks(monkeypatch):
     # 2 BLOCK + 5 trials: three blocks, which the pool maps over two workers
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)  # a pool even on one CPU
     basis = alpha_family("decay:1:1").build(12)
     reg = Region.sector(0.5, 0.0, np.pi / 2)
     trials = 2 * mc.BLOCK + 5
@@ -254,10 +255,11 @@ def test_worker_counts_agree_over_uneven_blocks():
         assert one.counts[t] == count_in_region(roots(basis, eta), reg)
 
 
-def test_audit_tallies_agree_over_uneven_blocks():
+def test_audit_tallies_agree_over_uneven_blocks(monkeypatch):
     # 7 BLOCK + 3 trials: eight blocks of 28 or 29, audits at trials 0, 100
     # and 200 in three of them, each block audited by the process that
     # solves it
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
     basis = alpha_family("zero").build(12)
     trials = 7 * mc.BLOCK + 3
     sizes = {hi - lo for lo, hi in mc._blocks(trials)}
@@ -280,6 +282,7 @@ def test_convergence_study_opens_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
     args = (alpha_family("zero"), coeff_model("gaussian"), QUARTER, [10, 20, 40])
     pooled = convergence_study(*args, trials=40, seed=5, workers=2)
     assert len(opened) == 1
