@@ -172,13 +172,16 @@ def _run_intensity(cfg: dict) -> int:
     return 0
 
 
-def _write_run(cfg: dict, command: str, elapsed: float, files: dict,
-               **results) -> None:
+def _write_run(cfg: dict, command: str, t0: float, processes: int,
+               files: dict, **results) -> None:
     """Write `<out><suffix>` for each of `files`, then `<out>.summary.json`
-    (command, typed config, n/trials/seed/region, results, elapsed time)."""
+    (command, typed config, n/trials/seed/region, results, and under
+    `timing` the seconds since t0 and the processes that ran)."""
     echoed = {k: cfg[k] for k in ("n", "trials", "seed", "region") if k in cfg}
+    timing = {"elapsed_seconds": time.perf_counter() - t0,
+              "processes": processes}
     summary = {"command": command, "config": cfg, **echoed, **results,
-               "elapsed_seconds": elapsed}
+               "timing": timing}
     files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
     for suffix, text in files.items():
         with open(cfg["out"] + suffix, "wb") as fh:
@@ -192,11 +195,13 @@ def _run_simulate(cfg: dict) -> int:
                          cfg["trials"], cfg["seed"], workers=cfg["threads"])
     counts = ["trial,count"] + [f"{t},{c}" for t, c in
                                 zip(stats.trial_indices, stats.counts)]
-    _write_run(cfg, "simulate", time.perf_counter() - t0,
+    _write_run(cfg, "simulate", t0, stats.processes,
                {".counts.csv": "\n".join(counts) + "\n"},
                mean=stats.mean, variance=stats.variance,
                se_mean=stats.se_mean, se_var=stats.se_var,
-               excluded=stats.excluded)
+               excluded=stats.excluded,
+               excluded_trials=list(stats.excluded_trials),
+               audited=stats.audited, audit_flagged=stats.audit_flagged)
     print(f"mean {_fmt(stats.mean)} variance {_fmt(stats.variance)} "
           f"se_mean {_fmt(stats.se_mean)} se_var {_fmt(stats.se_var)} "
           f"excluded {stats.excluded}")
@@ -274,7 +279,7 @@ def _run_convergence(cfg: dict) -> int:
         ",".join([str(r.n)] + [_fmt(getattr(r, c))
                                for c in _CONVERGENCE_COLUMNS[1:]])
         for r in rows]
-    _write_run(cfg, "convergence", time.perf_counter() - t0,
+    _write_run(cfg, "convergence", t0, rows[0].stats.processes,
                {".csv": "\n".join(csv_lines) + "\n",
                 ".svg": _convergence_svg(rows)},
                rows=[{c: getattr(r, c) for c in _CONVERGENCE_COLUMNS}

@@ -68,3 +68,7 @@ class BoundaryProximity(ComputationError):
 
 class ExclusionBudgetExceeded(ComputationError):
     """More than 0.1% of Monte Carlo trials had to be excluded."""
+
+
+class AuditMismatch(ComputationError):
+    """An argument-principle audit disagreed with a trial's root count."""

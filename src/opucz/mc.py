@@ -6,22 +6,30 @@ only on (seed, configuration) and never on scheduling or worker count.
 The trials are cut into consecutive blocks of at most BLOCK indices, as
 equal in size as can be, whose edges depend on the trial count alone; the
 roots of a block are found together (zerocount.roots on its coefficient
-rows), and a row's roots never depend on the other rows.  One worker runs
-the blocks in-process, a pool (of at most one process per CPU this process
-may use) maps the same blocks, and the counts are merged in trial-index
-order, so they are identical for any worker count by construction.  A
-convergence study opens one pool for all its degrees.
+rows), and a row's roots never depend on the other rows.  The blocks form
+one queue of jobs.  The calling process drains it itself, next to
+min(workers, CPUs this process may use) - 1 spawned helpers: each process
+claims the next job from one shared index until none is left, so
+`workers` counts the calling process, and one worker drains the queue
+alone with a plain local index.  Results are merged by job index, so the
+counts are identical for any worker count by construction.  A convergence
+study builds every degree's basis first and queues the blocks of all its
+degrees at once, largest degree first, so no process waits at a
+per-degree barrier.
 
 The rootfinder is the count of record; on a 1% subsample of trials (the
 indices divisible by AUDIT_STRIDE) the argument-principle count audits it,
 inside the block that holds the trial and on the coefficients the block
-drew.  Trials whose roots cannot be certified (NoConvergence, degenerate
-leading coefficient) are recorded as exclusions; more than 0.1% of them
-aborts the ensemble rather than biasing it quietly.
+drew.  An audit that disagrees fails the ensemble (AuditMismatch, naming
+the trials); one that cannot settle (BoundaryProximity) is counted as
+flagged.  Trials whose roots cannot be certified (NoConvergence,
+degenerate leading coefficient) are recorded as exclusions; more than 0.1%
+of them aborts the ensemble rather than biasing it quietly.
 """
 from __future__ import annotations
 
-import contextlib
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +40,8 @@ import multiprocessing as _mp
 
 import numpy as np
 
-from .errors import BoundaryProximity, ExclusionBudgetExceeded, UsageError
+from .errors import (AuditMismatch, BoundaryProximity,
+                     ExclusionBudgetExceeded, UsageError)
 from .opuc import AlphaFamily, OpucBasis, regularity_report
 from .zerocount import (
     Region,
@@ -118,19 +127,22 @@ class EnsembleStats:
     excluded: int = 0
     excluded_trials: Tuple[int, ...] = ()
     audited: int = 0
-    audit_mismatches: int = 0
+    audit_mismatches: int = 0  # a mismatch raises AuditMismatch instead
     audit_flagged: int = 0
+    processes: int = 1  # this process plus the helpers it started
 
 
-def _block_counts(args) -> tuple:
+def _block_counts(job) -> tuple:
     """Counts of trials lo..hi-1, None where the trial's roots were refused,
-    and the (audited, mismatches, flagged) tally of the block's audits."""
-    basis, model, region, seed, lo, hi = args
+    and the (audited, mismatched trial ids, flagged) tally of the block's
+    audits."""
+    basis, model, region, seed, lo, hi = job
     etas = np.array([sample_poly(basis, model, trial_seed(seed, t))
                      for t in range(lo, hi)])
     counts = [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
               for zs in roots(basis, etas)]
-    audited = mismatches = flagged = 0
+    audited = flagged = 0
+    mismatched = []
     for eta, count, t in zip(etas, counts, range(lo, hi)):
         if t % AUDIT_STRIDE or count is None:
             continue
@@ -140,8 +152,9 @@ def _block_counts(args) -> tuple:
             flagged += 1
             continue
         audited += 1
-        mismatches += int(check != count)
-    return counts, (audited, mismatches, flagged)
+        if check != count:
+            mismatched.append(t)
+    return counts, (audited, mismatched, flagged)
 
 
 def _blocks(trials: int) -> list:
@@ -159,16 +172,59 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(workers: int):
-    """A spawn pool of min(workers, CPUs) processes, or no pool for one.
+def _claim(index) -> int:
+    """The next job of a shared index, which it then moves on by one."""
+    with index.get_lock():
+        i = index.value
+        index.value = i + 1
+    return i
 
-    The blocks depend on the trial count alone, so the bound changes no
-    count."""
-    workers = min(workers, _cpus())
-    if workers == 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=_mp.get_context("spawn"))
+
+def _drain(jobs: list, next_job) -> dict:
+    """{job index: _block_counts(job)} for each index next_job() hands out,
+    until it hands out one past the last job."""
+    done = {}
+    i = next_job()
+    while i < len(jobs):
+        done[i] = _block_counts(jobs[i])
+        i = next_job()
+    return done
+
+
+_shared_index = None  # a helper process's handle on the parent's job index
+
+
+def _helper_init(index) -> None:
+    global _shared_index
+    _shared_index = index
+
+
+def _helper_drain(jobs: list) -> dict:
+    return _drain(jobs, functools.partial(_claim, _shared_index))
+
+
+def _solve(jobs: list, workers: int) -> tuple:
+    """(_block_counts of every job in job order, processes that ran).
+
+    This process drains the queue next to min(workers, CPUs) - 1 spawned
+    helpers, all claiming from one shared index; alone, it drains it with a
+    local one.  The jobs are fixed beforehand, so the bound changes no
+    count.  The shared index lives only as long as the pool."""
+    helpers = min(workers, _cpus()) - 1
+    if helpers == 0:
+        done = _drain(jobs, itertools.count().__next__)
+    else:
+        ctx = _mp.get_context("spawn")
+        index = ctx.Value("q", 0)
+        with ProcessPoolExecutor(max_workers=helpers, mp_context=ctx,
+                                 initializer=_helper_init,
+                                 initargs=(index,)) as pool:
+            futures = [pool.submit(_helper_drain, jobs)
+                       for _ in range(helpers)]
+            done = _drain(jobs, functools.partial(_claim, index))
+            for future in futures:
+                done.update(future.result())
+    return [done[i] for i in range(len(jobs))], helpers + 1
 
 
 def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
@@ -178,8 +234,9 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     Identical (seed, config) give bit-identical counts for any `workers`.
     """
     _check_sizes(trials, workers)
-    with _pool(workers) as pool:
-        return _ensemble(basis, model, region, trials, seed, pool)
+    done, processes = _solve([(basis, model, region, seed, lo, hi)
+                              for lo, hi in _blocks(trials)], workers)
+    return _stats(basis, region, trials, seed, done, processes)
 
 
 def _check_sizes(trials: int, workers: int) -> None:
@@ -189,18 +246,21 @@ def _check_sizes(trials: int, workers: int) -> None:
         raise UsageError("workers must be >= 1")
 
 
-def _ensemble(basis, model, region, trials, seed, pool) -> EnsembleStats:
-    """run_ensemble's work, its blocks mapped by `pool` (None: in-process)."""
-    jobs = [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)]
-    done = list((pool.map if pool else map)(_block_counts, jobs))
+def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
+    """The ensemble of one basis from its blocks' results, in trial order."""
     raw = [c for counts, _ in done for c in counts]
-    audited, mismatches, flagged = (sum(col) for col in
-                                    zip(*(tally for _, tally in done)))
+    audited = sum(tally[0] for _, tally in done)
+    mismatched = [t for _, tally in done for t in tally[1]]
+    flagged = sum(tally[2] for _, tally in done)
 
     excluded_trials = tuple(t for t, c in enumerate(raw) if c is None)
     if len(excluded_trials) > EXCLUSION_BUDGET * trials:
         raise ExclusionBudgetExceeded(
             f"{len(excluded_trials)} of {trials} trials excluded")
+    if mismatched:
+        raise AuditMismatch(
+            f"n = {basis.order}: the argument-principle count differs from "
+            f"the root count on trials {', '.join(map(str, mismatched))}")
     counts = np.array([c for c in raw if c is not None], dtype=np.int64)
     kept = np.array([t for t, c in enumerate(raw) if c is not None],
                     dtype=np.int64)
@@ -220,7 +280,7 @@ def _ensemble(basis, model, region, trials, seed, pool) -> EnsembleStats:
         se_var=se_var, seed=seed, n=basis.order, trials=trials, region=region,
         trial_indices=kept, excluded=len(excluded_trials),
         excluded_trials=excluded_trials, audited=audited,
-        audit_mismatches=mismatches, audit_flagged=flagged)
+        audit_flagged=flagged, processes=processes)
 
 
 @dataclass
@@ -253,16 +313,22 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     frac = region.angular_fraction()
     _check_sizes(trials, workers)
     basis_family.alphas(max(ns))  # one warm-up fill of the family cache
+    bases = [basis_family.build(n) for n in ns]
+    blocks = _blocks(trials)
+    # one queue for every degree, largest first: its blocks take longest
+    done, processes = _solve([(basis, model, region, seed, lo, hi)
+                              for basis in reversed(bases)
+                              for lo, hi in blocks], workers)
+    per_degree = [done[at:at + len(blocks)]
+                  for at in range(0, len(done), len(blocks))][::-1]
     rows = []
-    with _pool(workers) as pool:  # one pool for every degree
-        for n in ns:
-            basis = basis_family.build(n)
-            stats = _ensemble(basis, model, region, trials, seed, pool)
-            dev = float(np.mean(np.abs(stats.counts / n - frac)))
-            eps_n = float(regularity_report(basis).epsilons[-1])
-            env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0
-            env2 = max(env1, eps_n ** 0.25 if eps_n > 0 else 0.0)
-            rows.append(ConvergenceRow(
-                n=n, mean_abs_dev=dev, var_over_n2=stats.variance / n**2,
-                envelope_sqrtlogn=env1, envelope_eps14=env2, stats=stats))
+    for n, basis, blocks_done in zip(ns, bases, per_degree):
+        stats = _stats(basis, region, trials, seed, blocks_done, processes)
+        dev = float(np.mean(np.abs(stats.counts / n - frac)))
+        eps_n = float(regularity_report(basis).epsilons[-1])
+        env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0
+        env2 = max(env1, eps_n ** 0.25 if eps_n > 0 else 0.0)
+        rows.append(ConvergenceRow(
+            n=n, mean_abs_dev=dev, var_over_n2=stats.variance / n**2,
+            envelope_sqrtlogn=env1, envelope_eps14=env2, stats=stats))
     return rows

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import opucz.mc as mc
 from opucz.cli import main, parse_region
 from opucz.errors import UsageError
+from opucz.zerocount import count_in_region, roots
 
 
 def run(capsys, *argv):
@@ -101,15 +103,21 @@ def test_simulate_artifacts_and_rerun(tmp_path, capsys):
     summary = json.loads((tmp_path / "a.summary.json").read_text())
     assert list(summary) == ["command", "config", "n", "trials", "seed",
                              "region", "mean", "variance", "se_mean",
-                             "se_var", "excluded", "elapsed_seconds"]
+                             "se_var", "excluded", "excluded_trials",
+                             "audited", "audit_flagged", "timing"]
     assert summary["command"] == "simulate"
     assert summary["n"] == 12 and summary["trials"] == 40
     assert summary["seed"] == 42 and summary["excluded"] == 0
     assert summary["region"] == "annulus:0:0.5"
     assert summary["config"]["alphas"] == "zero"
+    assert summary["excluded_trials"] == []
+    assert summary["audited"] + summary["audit_flagged"] == 1  # trial 0
+    assert list(summary["timing"]) == ["elapsed_seconds", "processes"]
+    assert 1 <= summary["timing"]["processes"] <= summary["config"]["threads"]
 
 
 def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     args = ["simulate", "--alphas", "zero", "--n", "10", "--region",
             "annulus:0:0.6", "--trials", "30", "--seed", "7"]
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "t1"),
@@ -127,6 +135,9 @@ def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
     assert c1 == (tmp_path / "t3.counts.csv").read_bytes()
     s3 = json.loads((tmp_path / "t3.summary.json").read_text())
     assert s3["config"]["threads"] == 3
+    assert s3["timing"]["processes"] == min(3, mc._cpus())
+    s1 = json.loads((tmp_path / "t1.summary.json").read_text())
+    assert s1["timing"]["processes"] == 1
 
 
 def test_simulate_mass_point_family(tmp_path, capsys):
@@ -188,6 +199,9 @@ def test_convergence_artifacts(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "c.csv").read_bytes() == \
         (tmp_path / "c2.csv").read_bytes()
+    summary = json.loads((tmp_path / "c.summary.json").read_text())
+    assert list(summary)[-2:] == ["rows", "timing"]
+    assert list(summary["timing"]) == ["elapsed_seconds", "processes"]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -235,6 +249,19 @@ def test_computation_error_exit_1(capsys):
                        "--z", "0.5", "--w", "2", "--route", "cd")
     assert code == 1
     assert "NearDiagonalSingularity" in err
+
+
+def test_audit_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    monkeypatch.setattr(mc, "count_by_argument_principle",
+                        lambda basis, eta, region:
+                        count_in_region(roots(basis, eta), region) + 1)
+    code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "8",
+                       "--region", "annulus:0:0.5", "--trials", "120",
+                       "--threads", "1", "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "AuditMismatch" in err and "trials 0, 100" in err
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_bad_threads_env(capsys, monkeypatch, tmp_path):

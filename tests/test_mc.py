@@ -1,10 +1,12 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import opucz.mc as mc
-from opucz.errors import ExclusionBudgetExceeded, NoConvergence, UsageError
+from opucz.errors import (AuditMismatch, BoundaryProximity,
+                          ExclusionBudgetExceeded, NoConvergence, UsageError)
 from opucz.intensity import rho1_n
 from opucz.mc import (
     CoeffModel,
@@ -292,13 +294,18 @@ def test_convergence_study_opens_one_pool(monkeypatch):
         assert np.array_equal(a.stats.counts, b.stats.counts)
 
 
-def test_pool_bounded_by_usable_cpus(monkeypatch):
-    # a fake executor records its size and maps in-process: no process starts
-    sizes = []
+def _fake_pool(monkeypatch, helpers_work: bool) -> dict:
+    """Replace the spawn pool by a fake that starts no process and records
+    its size and every submitted call.  If `helpers_work`, a submitted drain
+    runs at once in this process, after the pool's initializer, so the
+    helpers claim every job before the parent does; otherwise they claim
+    nothing, as helpers that start after the queue is empty."""
+    record = {"sizes": [], "submitted": []}
 
-    class Recorded:
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
+    class Fake:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            record["sizes"].append(max_workers)
+            self.init = (initializer, initargs)
 
         def __enter__(self):
             return self
@@ -306,26 +313,154 @@ def test_pool_bounded_by_usable_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            record["submitted"].append((fn, args))
+            future = Future()
+            if helpers_work:
+                initializer, initargs = self.init
+                initializer(*initargs)
+                future.set_result(fn(*args))
+            else:
+                future.set_result({})
+            return future
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Fake)
+    monkeypatch.setattr(mc, "_shared_index", None)  # the initializer sets it
+    return record
+
+
+def _same_ensemble(a, b) -> bool:
+    return (np.array_equal(a.counts, b.counts)
+            and np.array_equal(a.trial_indices, b.trial_indices)
+            and (a.audited, a.audit_mismatches, a.audit_flagged)
+            == (b.audited, b.audit_mismatches, b.audit_flagged))
+
+
+def test_pool_bounded_by_usable_cpus(monkeypatch):
+    # helpers = min(workers, usable CPUs) - 1, next to this process
+    record = _fake_pool(monkeypatch, helpers_work=True)
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     args = (alpha_family("zero").build(10), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
     alone = run_ensemble(*args, workers=1)
-    assert sizes == []
+    assert record["sizes"] == [] and alone.processes == 1
     for workers in (5000, 3, 2):
         got = run_ensemble(*args, workers=workers)
-        assert np.array_equal(got.counts, alone.counts)
-    assert sizes == [3, 3, 2]
+        assert _same_ensemble(got, alone)
+        assert got.processes == min(workers, 3)
+    assert record["sizes"] == [2, 2, 1]
 
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
-    run_ensemble(*args, workers=5000)  # one usable CPU: in-process
-    assert sizes == [3, 3, 2]
+    assert run_ensemble(*args, workers=5000).processes == 1  # in-process
+    assert record["sizes"] == [2, 2, 1]
 
     monkeypatch.delattr(mc.os, "sched_getaffinity")  # no affinity call
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     convergence_study(alpha_family("zero"), coeff_model("gaussian"), QUARTER,
                       [10, 20], trials=8, seed=5, workers=5000)
-    assert sizes == [3, 3, 2, 4]
+    assert record["sizes"] == [2, 2, 1, 3]
+
+
+def test_idle_helpers_change_nothing(monkeypatch):
+    # helpers that start after the queue is empty claim no job: this
+    # process solves every block, and the ensemble is the one-worker one
+    monkeypatch.setattr(mc, "_cpus", lambda: 3)
+    record = _fake_pool(monkeypatch, helpers_work=False)
+    args = (alpha_family("zero").build(12), coeff_model("gaussian"),
+            Region.annulus(0.0, 0.6), 7 * mc.BLOCK + 3, 21)
+    alone = run_ensemble(*args, workers=1)
+    idle = run_ensemble(*args, workers=3)
+    assert record["sizes"] == [2] and len(record["submitted"]) == 2
+    assert idle.processes == 3
+    assert _same_ensemble(idle, alone)
+    assert alone.audited + alone.audit_flagged == 3
+
+
+def test_convergence_study_queues_every_degree_at_once(monkeypatch):
+    # one drain per helper for the whole study, over every degree's blocks,
+    # largest degree first; not one map per degree
+    monkeypatch.setattr(mc, "_cpus", lambda: 3)
+    record = _fake_pool(monkeypatch, helpers_work=True)
+    args = (alpha_family("zero"), coeff_model("gaussian"), QUARTER, [10, 20, 40])
+    trials = 2 * mc.BLOCK + 5
+    pooled = convergence_study(*args, trials=trials, seed=5, workers=3)
+    assert record["sizes"] == [2]
+    assert [fn for fn, _ in record["submitted"]] == [mc._helper_drain] * 2
+    (jobs,) = record["submitted"][0][1]
+    assert [job[0].order for job in jobs] == [40] * 3 + [20] * 3 + [10] * 3
+    assert [job[4:] for job in jobs[:3]] == mc._blocks(trials)
+    alone = convergence_study(*args, trials=trials, seed=5, workers=1)
+    for a, b in zip(pooled, alone):
+        assert a.n == b.n and _same_ensemble(a.stats, b.stats)
+
+
+def test_one_worker_builds_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one worker built a pool or a shared object")
+
+    monkeypatch.setattr(mc._mp, "get_context", refuse)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+    args = (alpha_family("zero").build(10), coeff_model("gaussian"),
+            Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
+    assert run_ensemble(*args, workers=1).processes == 1
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    assert run_ensemble(*args, workers=4).processes == 1  # one usable CPU
+    rows = convergence_study(alpha_family("zero"), coeff_model("gaussian"),
+                             QUARTER, [10, 20], trials=8, seed=5, workers=1)
+    assert [r.stats.processes for r in rows] == [1, 1]
+
+
+def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
+    # four processes share one index on a machine of two cores or fewer; a
+    # lost update of the index would let two of them solve the same block
+    monkeypatch.setattr(mc, "_cpus", lambda: 4)
+    solved, futures = [], []
+    drain = mc._drain
+
+    def recorded(jobs, next_job):  # this process's own claims
+        done = drain(jobs, next_job)
+        solved.append(list(done))
+        return done
+
+    monkeypatch.setattr(mc, "_drain", recorded)
+
+    class Recorded(mc.ProcessPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recorded)
+    args = (alpha_family("zero").build(40), coeff_model("gaussian"),
+            Region.annulus(0.0, 0.6), 24 * mc.BLOCK, 2)
+    four = run_ensemble(*args, workers=4)
+    claimed = [i for done in solved + [f.result(timeout=60) for f in futures]
+               for i in done]
+    assert sorted(claimed) == list(range(24))
+    assert four.processes == 4 and len(futures) == 3
+    assert _same_ensemble(four, run_ensemble(*args, workers=1))
+
+
+def test_audit_mismatch_fails_the_ensemble(monkeypatch):
+    def off_by_one(basis, eta, region):
+        return count_in_region(roots(basis, eta), region) + 1
+
+    monkeypatch.setattr(mc, "count_by_argument_principle", off_by_one)
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
+    args = (alpha_family("zero").build(12), coeff_model("gaussian"),
+            Region.annulus(0.0, 0.6), 250, 21)  # audits at 0, 100 and 200
+    with pytest.raises(AuditMismatch, match=r"trials 0, 100, 200$"):
+        run_ensemble(*args, workers=1)
+    # a spawned helper imports the module unpatched, but this process claims
+    # job 0, which holds trial 0, before any helper can have started
+    with pytest.raises(AuditMismatch, match=r"trials 0\b"):
+        run_ensemble(*args, workers=2)
+    with pytest.raises(AuditMismatch, match=r"^n = 10: .* trials 0$"):
+        convergence_study(alpha_family("zero"), coeff_model("gaussian"),
+                          QUARTER, [10, 20], trials=40, seed=5, workers=1)
+
+    def unsettled(basis, eta, region):
+        raise BoundaryProximity("a zero sits near the boundary")
+
+    monkeypatch.setattr(mc, "count_by_argument_principle", unsettled)
+    stats = run_ensemble(*args, workers=1)  # flagged audits are not raised
+    assert (stats.audited, stats.audit_flagged) == (0, 3)
