@@ -21,7 +21,7 @@ stats = run_ensemble(basis, coeff_model("gaussian"), Region.annulus(s, t),
 print(f"\n800 degree-100 trials in {time.perf_counter() - t0:.1f}s")
 print(f"  sample variance {stats.variance:.4f}  (se {stats.se_var:.4f})")
 print(f"  sample mean     {stats.mean:.4f}")
-print(f"  audited {stats.audited}, mismatches {stats.audit_mismatches}, "
+print(f"  audited {stats.audited}, audit flagged {stats.audit_flagged}, "
       f"excluded {stats.excluded}")
 
 # exterior regions work the same way; the limit is invariant under

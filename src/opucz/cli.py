@@ -201,7 +201,8 @@ def _run_simulate(cfg: dict) -> int:
                se_mean=stats.se_mean, se_var=stats.se_var,
                excluded=stats.excluded,
                excluded_trials=list(stats.excluded_trials),
-               audited=stats.audited, audit_flagged=stats.audit_flagged)
+               audited=stats.audited, audit_flagged=stats.audit_flagged,
+               worst_residual=stats.worst_residual)
     print(f"mean {_fmt(stats.mean)} variance {_fmt(stats.variance)} "
           f"se_mean {_fmt(stats.se_mean)} se_var {_fmt(stats.se_var)} "
           f"excluded {stats.excluded}")

@@ -129,18 +129,24 @@ class EnsembleStats:
     audited: int = 0
     audit_mismatches: int = 0  # a mismatch raises AuditMismatch instead
     audit_flagged: int = 0
+    # the largest ZeroSet residual of a counted trial's roots; above 1e-8
+    # only for a root certified by its Newton correction (see ZeroSet)
+    worst_residual: float = 0.0
     processes: int = 1  # this process plus the helpers it started
 
 
 def _block_counts(job) -> tuple:
     """Counts of trials lo..hi-1, None where the trial's roots were refused,
-    and the (audited, mismatched trial ids, flagged) tally of the block's
-    audits."""
+    and the (audited, mismatched trial ids, flagged, worst residual) tally:
+    the block's audits and the largest residual of its counted roots."""
     basis, model, region, seed, lo, hi = job
     etas = np.array([sample_poly(basis, model, trial_seed(seed, t))
                      for t in range(lo, hi)])
+    found = roots(basis, etas)
     counts = [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
-              for zs in roots(basis, etas)]
+              for zs in found]
+    worst = max((float(np.max(zs.residuals, initial=0.0)) for zs in found
+                 if isinstance(zs, ZeroSet)), default=0.0)
     audited = flagged = 0
     mismatched = []
     for eta, count, t in zip(etas, counts, range(lo, hi)):
@@ -154,7 +160,7 @@ def _block_counts(job) -> tuple:
         audited += 1
         if check != count:
             mismatched.append(t)
-    return counts, (audited, mismatched, flagged)
+    return counts, (audited, mismatched, flagged, worst)
 
 
 def _blocks(trials: int) -> list:
@@ -252,6 +258,7 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
     audited = sum(tally[0] for _, tally in done)
     mismatched = [t for _, tally in done for t in tally[1]]
     flagged = sum(tally[2] for _, tally in done)
+    worst = max(tally[3] for _, tally in done)
 
     excluded_trials = tuple(t for t, c in enumerate(raw) if c is None)
     if len(excluded_trials) > EXCLUSION_BUDGET * trials:
@@ -280,7 +287,7 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
         se_var=se_var, seed=seed, n=basis.order, trials=trials, region=region,
         trial_indices=kept, excluded=len(excluded_trials),
         excluded_trials=excluded_trials, audited=audited,
-        audit_flagged=flagged, processes=processes)
+        audit_flagged=flagged, worst_residual=worst, processes=processes)
 
 
 @dataclass

@@ -126,6 +126,13 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None):
     eta is one coefficient vector for every point, or a block of them,
     shape (T, n+1), with rows (an integer array shaped like z) naming the
     row of each point.  A point's arithmetic is the same either way.
+
+    phi and phi*, each with its derivative, step together in one stacked
+    array: a degree step is a fixed handful of ufunc calls into buffers
+    allocated once per call, and a block's coefficient columns are gathered
+    into one buffer each.  Every point still gets the operations of the
+    plain two-array recursion, in the same order and with the same operand
+    order, so the values are bit-identical to it.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -136,37 +143,46 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None):
     if rows is None:
         coefs, sizes = iter(eta.tolist()), iter(mods.tolist())
     else:
-        coefs = (c[rows] for c in np.ascontiguousarray(eta.T))
-        sizes = (c[rows] for c in np.ascontiguousarray(mods.T))
+        ebuf, mbuf = np.empty(z.shape, dtype=np.complex128), np.empty(z.shape)
+        coefs = (c.take(rows, out=ebuf) for c in np.ascontiguousarray(eta.T))
+        sizes = (c.take(rows, out=mbuf) for c in np.ascontiguousarray(mods.T))
     e0, m0 = next(coefs), next(sizes)
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
     zw = np.where(out, 1.0, z)
     aw = np.abs(w)
-    # stacked (value, derivative) rows: f = (phi_j, phi_j') w^j,
-    # g = (phi_j*, phi_j*') w^j and p = (P, P') so far
-    f = np.zeros((2 if derivs else 1,) + z.shape, dtype=np.complex128)
-    g = f.copy()
-    p = f.copy()
-    f[0] = g[0] = 1.0
+    # fg[0] = (phi_j, phi_j') w^j and fg[1] = (phi_j*, phi_j*') w^j, each a
+    # stacked (value, derivative) pair; p = (P, P') so far
+    fg = np.zeros((2, 2 if derivs else 1) + z.shape, dtype=np.complex128)
+    fg[:, 0] = 1.0
+    fv = fg.view(np.float64)
+    x, y = np.empty_like(fg), np.empty_like(fg)
+    p = np.zeros(fg.shape[1:], dtype=np.complex128)
     p[0] = e0
     scale = np.full(z.shape, m0)
+    size = np.empty(z.shape)
+    zw_w = np.stack((zw, w))[:, None]
     a = basis.alphas
+    # each step's (conj alpha_j, alpha_j), shaped to broadcast against fg
+    pairs = np.stack((a.conj(), a), axis=1).reshape(
+        a.shape + (2,) + (1,) * (fg.ndim - 1))
     # x * (1/norm) on the float view: the values of numpy's x / norm, cheaper
     inv = 1.0 / np.sqrt(1.0 - np.abs(a) ** 2)
-    # Python scalars: numpy scalar arithmetic would dominate the loop
-    for aj, s, ej, mj in zip(a.tolist(), inv.tolist(), coefs, sizes):
-        caj = aj.conjugate()
-        x = zw * f
+    for pair, s, ej, mj in zip(pairs, inv.tolist(), coefs, sizes):
+        np.multiply(zw_w, fg, out=x)  # (zw f, w g)
         if derivs:
-            x[1] += w * f[0]
-        wg = w * g
-        f = x - caj * wg
-        g = wg - aj * x
-        f.view(np.float64)[...] *= s
-        g.view(np.float64)[...] *= s
-        p = w * p + ej * f
-        scale = aw * scale + mj * np.abs(f[0])
+            np.multiply(w, fg[0, 0, ...], out=y[0, 0, ...])
+            np.add(x[0, 1, ...], y[0, 0, ...], out=x[0, 1, ...])  # zw phi' + w phi
+        np.multiply(pair, x[::-1], out=y)  # (conj(alpha) w g, alpha zw f)
+        np.subtract(x, y, out=fg)
+        fv *= s
+        np.multiply(ej, fg[0], out=y[0])
+        np.multiply(w, p, out=p)
+        p += y[0]
+        np.abs(fg[0, 0, ...], out=size)
+        size *= mj
+        np.multiply(aw, scale, out=scale)
+        scale += size
     if derivs:
         return p[0], p[1], scale
     return p[0], scale

@@ -54,6 +54,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
+_CHUNK_POINTS = 2 ** 16  # complex pairwise terms in one chunk: 1 MB
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,10 @@ def _aberth(basis: OpucBasis, etas: np.ndarray):
     is at most STEP_ULPS ulps.  A row with a non-finite approximation fails
     and leaves the iteration.  Returns z, P, P' and the scale at each
     settled approximation, and which ones settled.
+
+    The repulsion sums run over chunks of the live approximations (see
+    _repulsion), never over an (n x live) array: each chunk's temporaries
+    hold at most 1 MB, and each sum adds its terms in j order.
     """
     rows_n, n = etas.shape[0], basis.order
     z = np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
@@ -285,11 +290,7 @@ def _aberth(basis: OpucBasis, etas: np.ndarray):
         settled.flat[at] = True
         move = ~done
         live, rows, pos, zl, newton = (x[move] for x in (live, rows, pos, zl, newton))
-        # sum_{j != i} 1 / (z_i - z_j), one column j of the block at a time
-        pull = np.zeros_like(zl)
-        for j in range(n):
-            d = zl - z[rows, j]
-            pull += np.divide(1.0, d, out=np.zeros_like(d), where=pos != j)
+        pull = _repulsion(z, zl, rows, pos)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             znew = zl - newton / (1.0 - newton * pull)
         flat[live] = znew
@@ -298,6 +299,33 @@ def _aberth(basis: OpucBasis, etas: np.ndarray):
             settled[failed] = False
             live = live[~np.isin(rows, failed)]
     return z, p, dp, scale, settled
+
+
+def _chunks(z: np.ndarray, count: int):
+    """Slices of at most 2**16 // n consecutive points out of `count`, with
+    z.T in C order: each chunk's (n, width) temporaries hold at most 1 MB."""
+    width = max(1, _CHUNK_POINTS // z.shape[1])
+    return np.ascontiguousarray(z.T), [slice(lo, lo + width)
+                                       for lo in range(0, count, width)]
+
+
+def _repulsion(z, zl, rows, pos) -> np.ndarray:
+    """sum_{j != i} 1 / (z_i - z_j) for each point zl = z[rows, pos].
+
+    A chunk of points is gathered as a C-ordered (n, width) array of its
+    rows' approximations, so the reduction over axis 0 adds the terms in
+    j order, as a loop over the columns j would."""
+    zt, chunks = _chunks(z, zl.size)
+    pull = np.empty_like(zl)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in chunks:
+            d = zt.take(rows[c], axis=1)
+            np.subtract(zl[c], d, out=d)
+            np.divide(1.0, d, out=d)
+            d[pos[c], np.arange(d.shape[1])] = 0.0  # the term j = i
+            np.add.reduce(d, axis=0, out=pull[c], initial=0.0)
+            del d  # freed before the next chunk is gathered
+    return pull
 
 
 def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
@@ -314,17 +342,27 @@ def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)
     zw = np.where(out, 1.0, z)
-    prod = np.ones_like(z)
-    gap = np.full(z.shape, np.inf)
+    prod = np.empty_like(z)
+    gap = np.empty(z.shape)
+    rows, pos = np.divmod(np.arange(z.size), n)
+    # the products and distances over j of a chunk of roots at a time, the
+    # product taken in j order from 1 as a loop over the columns j would
+    zt, chunks = _chunks(z, z.size)
+    flat = [x.reshape(-1) for x in (z, w, zw, prod, gap)]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for j in range(n):
-            zj = z[:, j:j + 1]
-            f = zw - zj * w
-            f[:, j] = 1.0
-            prod *= f
-            d = np.abs(z - zj)
-            d[:, j] = np.inf
-            np.minimum(gap, d, out=gap)
+        for c in chunks:
+            zi, wi, zwi, prodi, gapi = (x[c] for x in flat)
+            zj = zt.take(rows[c], axis=1)
+            own = pos[c], np.arange(zj.shape[1])  # the terms j = i
+            f = np.multiply(zj, wi)
+            np.subtract(zwi, f, out=f)
+            f[own] = 1.0
+            np.multiply.reduce(f, axis=0, out=prodi, initial=1.0)
+            del f  # at most two chunk-sized arrays live at once
+            d = np.abs(np.subtract(zi, zj, out=zj))
+            d[own] = np.inf
+            np.minimum.reduce(d, axis=0, out=gapi)
+            del zj, d  # freed before the next chunk is gathered
         den = np.abs(etas[:, -1:] * basis.kappas[-1]) * np.abs(prod) * np.abs(w)
         ok = np.isfinite(den) & (den > 0)
         num = n * (np.abs(p) + _roundoff(n, scale))

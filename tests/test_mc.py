@@ -171,6 +171,23 @@ def test_audit_runs_on_subsample():
     assert stats.audit_mismatches == 0
 
 
+@pytest.mark.parametrize("fam,newton", [("decay:1:1", False),
+                                        ("constant:0.5", True)])
+def test_worst_residual_over_counted_trials(fam, newton):
+    # the largest residual of any counted root; above 1e-8 only where a
+    # root was certified by its Newton correction, as at the mass point
+    # z = 1 of constant:0.5
+    basis = alpha_family(fam).build(40)
+    model = coeff_model("gaussian")
+    stats = run_ensemble(basis, model, Region.annulus(0.0, 0.6), trials=40,
+                         seed=3)
+    want = max(float(np.max(roots(basis, sample_poly(
+        basis, model, trial_seed(3, int(t)))).residuals))
+        for t in stats.trial_indices)
+    assert stats.worst_residual == want
+    assert (stats.worst_residual > 1e-8) == newton
+
+
 def test_mean_matches_intensity_integral():
     # E[N_n(A(0,0.5))] vs quadrature of the one-point intensity
     basis = alpha_family("zero").build(50)
@@ -269,8 +286,10 @@ def test_audit_tallies_agree_over_uneven_blocks(monkeypatch):
     args = (basis, coeff_model("gaussian"), Region.annulus(0.0, 0.6), trials, 21)
     one = run_ensemble(*args, workers=1)
     two = run_ensemble(*args, workers=2)
-    tally = (one.audited, one.audit_mismatches, one.audit_flagged)
-    assert tally == (two.audited, two.audit_mismatches, two.audit_flagged)
+    tally = (one.audited, one.audit_mismatches, one.audit_flagged,
+             one.worst_residual)
+    assert tally == (two.audited, two.audit_mismatches, two.audit_flagged,
+                     two.worst_residual)
     assert one.audited + one.audit_flagged == 3
     assert np.array_equal(one.counts, two.counts)
 
@@ -332,8 +351,10 @@ def _fake_pool(monkeypatch, helpers_work: bool) -> dict:
 def _same_ensemble(a, b) -> bool:
     return (np.array_equal(a.counts, b.counts)
             and np.array_equal(a.trial_indices, b.trial_indices)
-            and (a.audited, a.audit_mismatches, a.audit_flagged)
-            == (b.audited, b.audit_mismatches, b.audit_flagged))
+            and (a.audited, a.audit_mismatches, a.audit_flagged,
+                 a.worst_residual)
+            == (b.audited, b.audit_mismatches, b.audit_flagged,
+                b.worst_residual))
 
 
 def test_pool_bounded_by_usable_cpus(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -349,3 +350,113 @@ def test_panel_budget_flags_mass_point_quickly():
     with pytest.raises(BoundaryProximity):
         count_by_argument_principle(basis, eta, Region.sector(0.5, 0, math.pi / 2))
     assert time.process_time() - t0 < 1.0
+
+
+def _aberth_oracle(basis, etas):
+    """zerocount._aberth with its repulsion summed one column j at a time,
+    masked at j = i."""
+    rows_n, n = etas.shape[0], basis.order
+    z = np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
+    p, dp = np.zeros_like(z), np.zeros_like(z)
+    scale = np.zeros(z.shape)
+    settled = np.zeros(z.shape, dtype=bool)
+    flat = z.reshape(-1)
+    live = np.arange(z.size)
+    for _ in range(zerocount.ABERTH_STEPS):
+        if not live.size:
+            break
+        rows, pos = np.divmod(live, n)
+        zl = flat[live]
+        pl, dpl, sl = eval_poly(basis, etas, zl, derivs=True, rows=rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = pl / dpl
+        done = (np.abs(pl) <= zerocount._roundoff(n, sl)) | zerocount._tiny(newton, zl)
+        at = live[done]
+        p.flat[at], dp.flat[at], scale.flat[at] = pl[done], dpl[done], sl[done]
+        settled.flat[at] = True
+        move = ~done
+        live, rows, pos, zl, newton = (x[move] for x in (live, rows, pos, zl, newton))
+        pull = np.zeros_like(zl)
+        for j in range(n):
+            d = zl - z[rows, j]
+            pull += np.divide(1.0, d, out=np.zeros_like(d), where=pos != j)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            znew = zl - newton / (1.0 - newton * pull)
+        flat[live] = znew
+        failed = np.unique(rows[~np.isfinite(znew)])
+        if failed.size:
+            settled[failed] = False
+            live = live[~np.isin(rows, failed)]
+    return z, p, dp, scale, settled
+
+
+def _inclusion_radii_oracle(basis, etas, z, p, scale):
+    """zerocount._inclusion_radii with the product and the distances taken
+    one column j at a time."""
+    n = z.shape[1]
+    out = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=np.ones_like(z), where=out)
+    zw = np.where(out, 1.0, z)
+    prod = np.ones_like(z)
+    gap = np.full(z.shape, np.inf)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for j in range(n):
+            zj = z[:, j:j + 1]
+            f = zw - zj * w
+            f[:, j] = 1.0
+            prod *= f
+            d = np.abs(z - zj)
+            d[:, j] = np.inf
+            np.minimum(gap, d, out=gap)
+        den = np.abs(etas[:, -1:] * basis.kappas[-1]) * np.abs(prod) * np.abs(w)
+        ok = np.isfinite(den) & (den > 0)
+        num = n * (np.abs(p) + zerocount._roundoff(n, scale))
+        rad = np.where(ok, num / np.where(ok, den, 1.0), np.inf)
+    return rad, gap
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("fam,n,block", [
+    *[(f, n, 4) for f in ("zero", "constant:0.5", "decay:1:1",
+                          "weight:jacobi:pi:1") for n in (1, 2, 37, 200)],
+    ("weight:jacobi:pi:1", 200, 32)])
+def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
+    # the chunked repulsion sum and radii products add and multiply the
+    # terms in j order, as the column loops do.  At n = 200 a chunk holds
+    # 327 points: 4 rows start with 800 live points (three chunks, the
+    # last one ragged), a 32-row block with 6,400 (twenty chunks)
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(5, t)) for t in range(block)])
+    got = zerocount._aberth(basis, etas)
+    want = _aberth_oracle(basis, etas)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+    z, p, _, scale, _ = want
+    rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
+    for g, w in zip(zerocount._inclusion_radii(basis, etas, z, p, scale),
+                    (rad, gap)):
+        assert _bits(g) == _bits(w)
+    for zs, r in zip(roots(basis, etas), rad):
+        if zs.radii.any():  # proven by disjoint disks, not the comrade matrix
+            assert _bits(zs.radii) == _bits(r)
+
+
+def test_roots_memory_bounded():
+    # a 32-row block at n = 200 holds no (n x live) pairwise array: chunks
+    # of pairwise terms hold at most 1 MB, where the whole 6,400 x 200
+    # repulsion matrix alone would take 20 MB
+    basis = alpha_family("weight:jacobi:pi:1").build(200)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(8, t)) for t in range(32)])
+    tracemalloc.start()
+    try:
+        found = roots(basis, etas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(zs.radii.all() for zs in found)
+    assert peak < 8 * 2 ** 20
