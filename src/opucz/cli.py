@@ -201,6 +201,7 @@ def _run_simulate(cfg: dict) -> int:
                se_mean=stats.se_mean, se_var=stats.se_var,
                excluded=stats.excluded,
                excluded_trials=list(stats.excluded_trials),
+               exclusion_reasons=list(stats.exclusion_reasons),
                audited=stats.audited, audit_flagged=stats.audit_flagged,
                worst_residual=stats.worst_residual)
     print(f"mean {_fmt(stats.mean)} variance {_fmt(stats.variance)} "

@@ -23,8 +23,9 @@ inside the block that holds the trial and on the coefficients the block
 drew.  An audit that disagrees fails the ensemble (AuditMismatch, naming
 the trials); one that cannot settle (BoundaryProximity) is counted as
 flagged.  Trials whose roots cannot be certified (NoConvergence,
-degenerate leading coefficient) are recorded as exclusions; more than 0.1%
-of them aborts the ensemble rather than biasing it quietly.
+degenerate leading coefficient) are recorded as exclusions, each with the
+class name of the error that refused it; more than 0.1% of them aborts the
+ensemble rather than biasing it quietly.
 """
 from __future__ import annotations
 
@@ -126,6 +127,8 @@ class EnsembleStats:
     trial_indices: np.ndarray = None  # original trial index of each count
     excluded: int = 0
     excluded_trials: Tuple[int, ...] = ()
+    # the class name of the error that refused each excluded trial
+    exclusion_reasons: Tuple[str, ...] = ()
     audited: int = 0
     audit_mismatches: int = 0  # a mismatch raises AuditMismatch instead
     audit_flagged: int = 0
@@ -136,21 +139,22 @@ class EnsembleStats:
 
 
 def _block_counts(job) -> tuple:
-    """Counts of trials lo..hi-1, None where the trial's roots were refused,
-    and the (audited, mismatched trial ids, flagged, worst residual) tally:
-    the block's audits and the largest residual of its counted roots."""
+    """Counts of trials lo..hi-1, with the class name of the refusing error
+    in place of the count where a trial's roots were refused, and the
+    (audited, mismatched trial ids, flagged, worst residual) tally: the
+    block's audits and the largest residual of its counted roots."""
     basis, model, region, seed, lo, hi = job
     etas = np.array([sample_poly(basis, model, trial_seed(seed, t))
                      for t in range(lo, hi)])
     found = roots(basis, etas)
-    counts = [count_in_region(zs, region) if isinstance(zs, ZeroSet) else None
-              for zs in found]
+    counts = [count_in_region(zs, region) if isinstance(zs, ZeroSet)
+              else type(zs).__name__ for zs in found]
     worst = max((float(np.max(zs.residuals, initial=0.0)) for zs in found
                  if isinstance(zs, ZeroSet)), default=0.0)
     audited = flagged = 0
     mismatched = []
     for eta, count, t in zip(etas, counts, range(lo, hi)):
-        if t % AUDIT_STRIDE or count is None:
+        if t % AUDIT_STRIDE or isinstance(count, str):
             continue
         try:
             check = count_by_argument_principle(basis, eta, region)
@@ -260,7 +264,8 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
     flagged = sum(tally[2] for _, tally in done)
     worst = max(tally[3] for _, tally in done)
 
-    excluded_trials = tuple(t for t, c in enumerate(raw) if c is None)
+    excluded = [(t, c) for t, c in enumerate(raw) if isinstance(c, str)]
+    excluded_trials = tuple(t for t, _ in excluded)
     if len(excluded_trials) > EXCLUSION_BUDGET * trials:
         raise ExclusionBudgetExceeded(
             f"{len(excluded_trials)} of {trials} trials excluded")
@@ -268,8 +273,9 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
         raise AuditMismatch(
             f"n = {basis.order}: the argument-principle count differs from "
             f"the root count on trials {', '.join(map(str, mismatched))}")
-    counts = np.array([c for c in raw if c is not None], dtype=np.int64)
-    kept = np.array([t for t, c in enumerate(raw) if c is not None],
+    counts = np.array([c for c in raw if not isinstance(c, str)],
+                      dtype=np.int64)
+    kept = np.array([t for t, c in enumerate(raw) if not isinstance(c, str)],
                     dtype=np.int64)
 
     m = counts.size
@@ -286,7 +292,8 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
         counts=counts, mean=mean, variance=variance, se_mean=se_mean,
         se_var=se_var, seed=seed, n=basis.order, trials=trials, region=region,
         trial_indices=kept, excluded=len(excluded_trials),
-        excluded_trials=excluded_trials, audited=audited,
+        excluded_trials=excluded_trials,
+        exclusion_reasons=tuple(c for _, c in excluded), audited=audited,
         audit_flagged=flagged, worst_residual=worst, processes=processes)
 
 

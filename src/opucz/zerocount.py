@@ -3,12 +3,15 @@
 Two independent counting routes, both working in the basis itself:
 
   * roots + count_in_region: the zeros of a whole block of combinations at
-    once, by simultaneous Aberth-Ehrlich iteration through the value
-    recursion, each root certified against eta and each row's root set
-    proven by disjoint inclusion disks; a row that is refused goes alone
-    through the eigenvalues of its comrade matrix (the GGT matrix of
-    multiplication by z, changed by rank one), with Newton steps where
-    needed.  Then a point-in-region test on each root.
+    once, by simultaneous Aberth-Ehrlich iteration in two stages: from the
+    unit circle on a monomial model of each row (FFT of circle samples,
+    Horner steps), then from the model's roots through the value
+    recursion.  Each root is certified against eta and each row's root set
+    proven by disjoint inclusion disks, whatever the start; a row whose
+    model is not to be trusted starts on the circle, and a row that is
+    refused goes alone through the eigenvalues of its comrade matrix (the
+    GGT matrix of multiplication by z, changed by rank one), with Newton
+    steps where needed.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs.  The result must land within 0.1 of an
@@ -27,6 +30,7 @@ by the sign of a roundoff.  Circular rims test the computed |z|.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -55,6 +59,7 @@ _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
 _CHUNK_POINTS = 2 ** 16  # complex pairwise terms in one chunk: 1 MB
+_MODEL_SPREAD = 1.0 / math.sqrt(_EPS)  # sample spread a monomial model may have
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,93 @@ def _comrade_roots(basis: OpucBasis, eta: np.ndarray) -> ZeroSet:
     return ZeroSet(rts, res, np.zeros(rts.size))
 
 
-def _aberth(basis: OpucBasis, etas: np.ndarray):
-    """Simultaneous Aberth-Ehrlich iteration on every row of etas.
+def _circle(rows_n: int, n: int) -> np.ndarray:
+    """Starts on the unit circle at angles 2 pi (k + 1/4) / n for each of
+    rows_n rows: none real, none conjugate to another."""
+    return np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
 
-    Row t's n approximations start on the unit circle at angles
-    2 pi (k + 1/4) / n (none real, none conjugate to another) and move by
+
+def _monomial_coefficients(basis: OpucBasis, etas: np.ndarray):
+    """Each row's monomial coefficients c, P(z) = sum_k c_k z^k, and the
+    spread max |P| / min |P| of the samples they came from.
+
+    P is sampled at the n+1 roots of unity by one eval_poly call and turned
+    into c by one FFT, so each c_k is off by about eps max |P| on the
+    circle.  eval_poly returns P / z^n where a sample's |z| rounds above 1;
+    the factor z^n that undoes it is computed on the n+1 points alone, since
+    a power taken over a block-sized array can round differently by
+    position.
+    """
+    n = basis.order
+    zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    rows = np.repeat(np.arange(etas.shape[0]), n + 1).reshape(-1, n + 1)
+    p, _ = eval_poly(basis, etas, np.tile(zs, (etas.shape[0], 1)), rows=rows)
+    p *= np.where(np.abs(zs) > 1.0, zs ** n, 1.0)
+    mag = np.abs(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = mag.max(axis=1, initial=0.0) / mag.min(axis=1, initial=np.inf)
+    return np.fft.fft(p, axis=1) / (n + 1), spread
+
+
+def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray):
+    """P and P' of the monomial model at each point z of row `rows`, by
+    Horner's rule, scaled as eval_poly scales them, and the scale
+    sum_k |c_k| of the rounding bound.
+
+    Where |z| > 1 the rule runs on the reversed polynomial Q(w) = P(z) w^n
+    in w = 1/z, and returns P / z^n = Q and P' / z^n = w (n Q - w Q'):
+    nothing overflows however large |z| is.  The rule thus only ever runs
+    at |u| <= 1, where sum_k |c_k| bounds the scale sum_k |c_k| |u|^k of
+    its rounding; the looser bound costs no work per degree, and lets an
+    approximation settle about where the model, whose coefficients are off
+    by about eps max |P|, stops being more accurate anyway.
+    """
+    t, n = coefs.shape[0], coefs.shape[1] - 1
+    out = np.abs(z) > 1.0
+    u = np.divide(1.0, z, out=z.copy(), where=out)  # z inside, 1/z outside
+    # row r of the table holds c_n..c_0 and row t + r holds c_0..c_n: the
+    # coefficients of row r's polynomial in u, highest power first
+    table = np.ascontiguousarray(np.concatenate((coefs[:, ::-1], coefs)).T)
+    at = rows + t * out
+    c = np.empty_like(z)
+    p, dp = table[0].take(at), np.zeros_like(z)
+    for cj in table[1:]:
+        dp *= u
+        dp += p
+        p *= u
+        p += cj.take(at, out=c)
+    s = np.abs(coefs).sum(axis=1).take(rows)
+    return p, np.where(out, u * (n * p - u * dp), dp), s
+
+
+def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
+    """Starting points for the Aberth iteration in the basis, one row each.
+
+    A row's start is the result of the same iteration run on its monomial
+    model (_monomial_coefficients, evaluated by _horner) from the circle.
+    The model only proposes starts: the roots are settled and certified
+    through eval_poly on eta.  A row keeps the circle start where the model
+    is not to be trusted: its samples spread by more than 1/sqrt(eps), so
+    the coefficients hold fewer than half their digits, or the iteration
+    on the model ended with a non-finite point.
+    """
+    z = _circle(etas.shape[0], basis.order)
+    coefs, spread = _monomial_coefficients(basis, etas)
+    model = np.flatnonzero(spread <= _MODEL_SPREAD)  # a NaN spread fails
+    if model.size:
+        zm = _aberth(functools.partial(_horner, coefs[model]), z[model])[0]
+        fine = np.isfinite(zm).all(axis=1)
+        z[model[fine]] = zm[fine]
+    return z
+
+
+def _aberth(evaluate, z0: np.ndarray):
+    """Simultaneous Aberth-Ehrlich iteration from the starts z0, one row of
+    n approximations per polynomial.
+
+    evaluate(z, rows=rows) gives P, P' and the scale of the rounding bound
+    at points z of rows `rows`: eval_poly in the basis, or _horner on a
+    monomial model.  Each approximation moves by
     z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = P(z_i)/P'(z_i)
     (Bini, Numer. Algorithms 13, 1996).  An approximation settles, and stops
     moving, once |P| is within the rounding bound or its Newton correction
@@ -269,8 +356,8 @@ def _aberth(basis: OpucBasis, etas: np.ndarray):
     _repulsion), never over an (n x live) array: each chunk's temporaries
     hold at most 1 MB, and each sum adds its terms in j order.
     """
-    rows_n, n = etas.shape[0], basis.order
-    z = np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
+    z = np.array(z0, dtype=np.complex128)
+    n = z.shape[1]
     p, dp = np.zeros_like(z), np.zeros_like(z)
     scale = np.zeros(z.shape)
     settled = np.zeros(z.shape, dtype=bool)
@@ -281,7 +368,7 @@ def _aberth(basis: OpucBasis, etas: np.ndarray):
             break
         rows, pos = np.divmod(live, n)
         zl = flat[live]
-        pl, dpl, sl = eval_poly(basis, etas, zl, derivs=True, rows=rows)
+        pl, dpl, sl = evaluate(zl, rows=rows)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pl / dpl
         done = (np.abs(pl) <= _roundoff(n, sl)) | _tiny(newton, zl)
@@ -314,7 +401,9 @@ def _repulsion(z, zl, rows, pos) -> np.ndarray:
 
     A chunk of points is gathered as a C-ordered (n, width) array of its
     rows' approximations, so the reduction over axis 0 adds the terms in
-    j order, as a loop over the columns j would."""
+    j order, as a loop over the columns j would.  A chunk of one point is
+    accumulated instead, from 0 as the loop starts: numpy sums a single
+    column pairwise."""
     zt, chunks = _chunks(z, zl.size)
     pull = np.empty_like(zl)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -323,7 +412,11 @@ def _repulsion(z, zl, rows, pos) -> np.ndarray:
             np.subtract(zl[c], d, out=d)
             np.divide(1.0, d, out=d)
             d[pos[c], np.arange(d.shape[1])] = 0.0  # the term j = i
-            np.add.reduce(d, axis=0, out=pull[c], initial=0.0)
+            if d.shape[1] > 1:
+                np.add.reduce(d, axis=0, out=pull[c], initial=0.0)
+            else:
+                d[0] += 0.0
+                pull[c] = np.add.accumulate(d, axis=0, out=d)[-1]
             del d  # freed before the next chunk is gathered
     return pull
 
@@ -381,7 +474,8 @@ def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
             f"|leading coefficient| = {lead[t]:.3e}")
     todo = np.flatnonzero(lead > DEGENERATE_LEAD)
     sub = etas[todo]
-    z, p, dp, scale, settled = _aberth(basis, sub)
+    z, p, dp, scale, settled = _aberth(
+        functools.partial(eval_poly, basis, sub, derivs=True), _starts(basis, sub))
     res = _residual(p, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = p / dp
@@ -405,11 +499,14 @@ def roots(basis: OpucBasis, eta):
 
     eta is one coefficient vector, shape (n+1,), or a block of them,
     shape (T, n+1).  The block's rows go through the Aberth iteration
-    together; a row's roots are proven when each meets a ground of ZeroSet
-    and the row's inclusion disks are pairwise disjoint.  A row that hits
-    the iteration cap or fails either test is solved alone by its comrade
-    matrix instead, and one that meets no ground of ZeroSet there is
-    refused.  A row's result never depends on the other rows of its block.
+    together, twice: on their monomial models from the unit circle, then
+    through eval_poly on eta from the models' roots (see _starts; a row
+    whose samples spread by more than 1/sqrt(eps) starts the second stage
+    on the circle).  Only the second stage counts: a row's roots are proven
+    when each meets a ground of ZeroSet and the row's inclusion disks are
+    pairwise disjoint.  A row that hits the iteration cap or fails either
+    test is solved alone by its comrade matrix instead, and one that meets
+    no ground of ZeroSet there is refused.  A row's result never depends on the other rows of its block.
 
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per

@@ -104,14 +104,15 @@ def test_simulate_artifacts_and_rerun(tmp_path, capsys):
     assert list(summary) == ["command", "config", "n", "trials", "seed",
                              "region", "mean", "variance", "se_mean",
                              "se_var", "excluded", "excluded_trials",
-                             "audited", "audit_flagged", "worst_residual",
-                             "timing"]
+                             "exclusion_reasons", "audited", "audit_flagged",
+                             "worst_residual", "timing"]
     assert summary["command"] == "simulate"
     assert summary["n"] == 12 and summary["trials"] == 40
     assert summary["seed"] == 42 and summary["excluded"] == 0
     assert summary["region"] == "annulus:0:0.5"
     assert summary["config"]["alphas"] == "zero"
     assert summary["excluded_trials"] == []
+    assert summary["exclusion_reasons"] == []
     assert summary["audited"] + summary["audit_flagged"] == 1  # trial 0
     assert 0 < summary["worst_residual"] <= 1e-8  # no Newton-ground roots
     assert list(summary["timing"]) == ["elapsed_seconds", "processes"]

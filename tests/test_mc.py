@@ -6,6 +6,7 @@ import pytest
 
 import opucz.mc as mc
 from opucz.errors import (AuditMismatch, BoundaryProximity,
+                          DegenerateLeadingCoefficient,
                           ExclusionBudgetExceeded, NoConvergence, UsageError)
 from opucz.intensity import rho1_n
 from opucz.mc import (
@@ -148,19 +149,24 @@ def test_exclusion_budget(monkeypatch):
     with pytest.raises(ExclusionBudgetExceeded):
         run_ensemble(basis, model, reg, trials=50, seed=0)
 
-    # one exclusion in 2000 trials is inside the 0.1% budget
-    refused = sample_poly(basis, model, trial_seed(0, 1))
+    # two exclusions in 2000 trials are inside the 0.1% budget, each kept
+    # with the class name of the error that refused it
+    refused = {sample_poly(basis, model, trial_seed(0, t)).tobytes(): err
+               for t, err in ((1, NoConvergence("refused")),
+                              (3, DegenerateLeadingCoefficient("lead")))}
 
-    def refuse_trial_one(b, etas):
-        return [NoConvergence("refused") if np.array_equal(eta, refused) else zs
+    def refuse_trials(b, etas):
+        return [refused.get(eta.tobytes(), zs)
                 for eta, zs in zip(etas, orig(b, etas))]
 
-    monkeypatch.setattr(mc, "roots", refuse_trial_one)
+    monkeypatch.setattr(mc, "roots", refuse_trials)
     stats = run_ensemble(basis, model, reg, trials=2000, seed=0)
-    assert stats.excluded == 1
-    assert stats.excluded_trials == (1,)
-    assert stats.counts.size == 1999
-    assert stats.trial_indices[0] == 0 and stats.trial_indices[1] == 2
+    assert stats.excluded == 2
+    assert stats.excluded_trials == (1, 3)
+    assert stats.exclusion_reasons == ("NoConvergence",
+                                       "DegenerateLeadingCoefficient")
+    assert stats.counts.size == 1998
+    assert list(stats.trial_indices[:3]) == [0, 2, 4]
 
 
 def test_audit_runs_on_subsample():

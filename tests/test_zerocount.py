@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -306,7 +307,9 @@ def test_double_root_refused_by_disjoint_disks():
     # near 0 share one double zero, so their inclusion disks overlap and the
     # comrade matrix answers instead (radii 0, both roots exactly 0)
     basis, eta = _plain([0, 0, -1, 1])
-    z, p, dp, scale, settled = zerocount._aberth(basis, eta[None])
+    z, p, dp, scale, settled = zerocount._aberth(
+        functools.partial(eval_poly, basis, eta[None], derivs=True),
+        zerocount._starts(basis, eta[None]))
     assert settled.all()
     rad, gap = zerocount._inclusion_radii(basis, eta[None], z, p, scale)
     pairs = np.abs(z[0][:, None] - z[0][None, :]) <= rad[0][:, None] + rad[0][None, :]
@@ -352,11 +355,11 @@ def test_panel_budget_flags_mass_point_quickly():
     assert time.process_time() - t0 < 1.0
 
 
-def _aberth_oracle(basis, etas):
+def _aberth_oracle(evaluate, z0):
     """zerocount._aberth with its repulsion summed one column j at a time,
     masked at j = i."""
-    rows_n, n = etas.shape[0], basis.order
-    z = np.tile(np.exp(2j * np.pi * (np.arange(n) + 0.25) / n), (rows_n, 1))
+    z = np.array(z0, dtype=np.complex128)
+    n = z.shape[1]
     p, dp = np.zeros_like(z), np.zeros_like(z)
     scale = np.zeros(z.shape)
     settled = np.zeros(z.shape, dtype=bool)
@@ -367,7 +370,7 @@ def _aberth_oracle(basis, etas):
             break
         rows, pos = np.divmod(live, n)
         zl = flat[live]
-        pl, dpl, sl = eval_poly(basis, etas, zl, derivs=True, rows=rows)
+        pl, dpl, sl = evaluate(zl, rows=rows)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pl / dpl
         done = (np.abs(pl) <= zerocount._roundoff(n, sl)) | zerocount._tiny(newton, zl)
@@ -419,6 +422,20 @@ def _bits(x):
     return x.dtype, x.shape, x.tobytes()
 
 
+def test_repulsion_of_one_point_in_j_order():
+    # a chunk of one live point is summed in j order too: numpy's reduction
+    # of a single column is pairwise, and differs in the last bits
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+    rows, pos = np.array([1]), np.array([7])
+    want = np.zeros(1, dtype=np.complex128)
+    for j in range(200):
+        if j != 7:
+            want += 1.0 / (z[1, 7] - z[1, j])
+    got = zerocount._repulsion(z, z[rows, pos], rows, pos)
+    assert _bits(got) == _bits(want)
+
+
 @pytest.mark.parametrize("fam,n,block", [
     *[(f, n, 4) for f in ("zero", "constant:0.5", "decay:1:1",
                           "weight:jacobi:pi:1") for n in (1, 2, 37, 200)],
@@ -427,14 +444,23 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     # the chunked repulsion sum and radii products add and multiply the
     # terms in j order, as the column loops do.  At n = 200 a chunk holds
     # 327 points: 4 rows start with 800 live points (three chunks, the
-    # last one ragged), a 32-row block with 6,400 (twenty chunks)
+    # last one ragged), a 32-row block with 6,400 (twenty chunks).  The
+    # loop is checked on the monomial model from the circle, and in the
+    # basis from the circle and from the model's roots, the start roots()
+    # uses.
     basis = alpha_family(fam).build(n)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"),
                                  trial_seed(5, t)) for t in range(block)])
-    got = zerocount._aberth(basis, etas)
-    want = _aberth_oracle(basis, etas)
-    for g, w in zip(got, want):
-        assert _bits(g) == _bits(w)
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    in_basis = functools.partial(eval_poly, basis, etas, derivs=True)
+    circle = zerocount._circle(block, n)
+    for evaluate, z0 in ((functools.partial(zerocount._horner, coefs), circle),
+                         (in_basis, circle),
+                         (in_basis, zerocount._starts(basis, etas))):
+        got = zerocount._aberth(evaluate, z0)
+        want = _aberth_oracle(evaluate, z0)
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w)
     z, p, _, scale, _ = want
     rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
     for g, w in zip(zerocount._inclusion_radii(basis, etas, z, p, scale),
@@ -443,6 +469,112 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     for zs, r in zip(roots(basis, etas), rad):
         if zs.radii.any():  # proven by disjoint disks, not the comrade matrix
             assert _bits(zs.radii) == _bits(r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+def test_monomial_coefficients_of_zero_family_are_eta(n):
+    # phi_k = z^k when every alpha is 0: the FFT of the circle samples gives
+    # eta back, each coefficient off by about eps max |P| on the circle
+    basis = alpha_family("zero").build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(12, t)) for t in range(4)])
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    assert np.max(np.abs(coefs - etas)) <= 1e-13 * np.max(np.abs(etas))
+
+
+@pytest.mark.parametrize("fam", ["decay:1:1", "weight:jacobi:pi:1"])
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+def test_horner_matches_eval_poly(fam, n):
+    # the model agrees with the value recursion, both scaled by z^-n where
+    # |z| > 1, within their rounding: each monomial coefficient is off by
+    # about eps max |P| on the circle, and each route rounds by about eps
+    # times its scale (sum |c_k| for Horner), over at most n + 1 terms
+    # (n times as much for P')
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(9, t)) for t in range(3)])
+    rng = np.random.default_rng(n)
+    z = 1.5 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+    rows = rng.integers(0, 3, 50)
+    assert np.any(np.abs(z) > 1.0) and np.any(np.abs(z) < 1.0)
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    hp, hdp, hscale = zerocount._horner(coefs, z, rows)
+    p, dp, scale = eval_poly(basis, etas, z, derivs=True, rows=rows)
+    circle = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    top = np.array([np.max(np.abs(eval_poly(basis, eta, circle)[0]))
+                    for eta in etas])
+    tol = zerocount._roundoff(n, top[rows] + hscale + scale)
+    assert np.all(np.abs(hp - p) <= tol)
+    assert np.all(np.abs(hdp - dp) <= n * tol)
+
+
+def test_block_coefficients_match_rows_alone():
+    # at n = 37 two of the 38 roots of unity round to |z| > 1, where
+    # eval_poly returns P / z^n: a row's coefficients and sample spread are
+    # the same bits in a block as alone
+    basis = alpha_family("decay:1:1").build(37)
+    circle = np.exp(2j * np.pi * np.arange(38) / 38)
+    assert np.count_nonzero(np.abs(circle) > 1.0) == 2
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(4, t)) for t in range(7)])
+    coefs, spread = zerocount._monomial_coefficients(basis, etas)
+    for k, eta in enumerate(etas):
+        alone, alone_spread = zerocount._monomial_coefficients(basis, eta[None])
+        assert _bits(alone[0]) == _bits(coefs[k])
+        assert _bits(alone_spread) == _bits(spread[k:k + 1])
+
+
+@pytest.mark.parametrize("fam,modelled", [("constant:0.5", False),
+                                          ("zero", True),
+                                          ("weight:jacobi:pi:1", True)])
+def test_sample_spread_decides_the_start(monkeypatch, fam, modelled):
+    # constant:0.5 samples spread by far more than 1/sqrt(eps) around its
+    # mass point z = 1, so its rows start on the circle and the model's
+    # Horner steps never run; zero and jacobi rows all go through the model
+    basis = alpha_family(fam).build(100)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in range(8)])
+    rows_seen = []
+    horner = zerocount._horner
+
+    def counting(coefs, z, rows):
+        rows_seen.append(coefs.shape[0])
+        return horner(coefs, z, rows)
+
+    monkeypatch.setattr(zerocount, "_horner", counting)
+    assert all(zs.radii.all() for zs in roots(basis, etas))
+    assert rows_seen == ([8] * len(rows_seen) if modelled else [])
+    assert bool(rows_seen) == modelled
+
+
+_REGIONS = [Region.annulus(0.3, 0.6), Region.annulus(0.8, 0.95),
+            Region.annulus(0, 0.5), Region.annulus(1.5, 2),
+            Region.sector(0.5, 0, math.pi / 2)]
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
+                                 "weight:cosine"])
+@pytest.mark.parametrize("n", [25, 100, 200])
+def test_roots_independent_of_start(monkeypatch, fam, n):
+    # the model's roots are only starts: from them or from the circle, the
+    # iteration in the basis gives the same roots within 1e-12 max(1, |z|),
+    # one to one, and the same count in every region
+    basis = alpha_family(fam).build(n)
+    model = coeff_model("gaussian")
+    blocks = [np.array([sample_poly(basis, model, trial_seed(61, t))
+                        for t in range(lo, lo + 8)]) for lo in (0, 8)]
+    from_model = [zs for etas in blocks for zs in roots(basis, etas)]
+    monkeypatch.setattr(zerocount, "_starts", lambda basis, etas:
+                        zerocount._circle(etas.shape[0], basis.order))
+    from_circle = [zs for etas in blocks for zs in roots(basis, etas)]
+    for got, want in zip(from_model, from_circle):
+        dist = np.abs(got.roots[:, None] - want.roots[None, :])
+        near = np.argmin(dist, axis=1)
+        assert np.unique(near).size == n
+        assert np.all(dist[np.arange(n), near]
+                      <= 1e-12 * np.maximum(1.0, np.abs(got.roots)))
+        assert [count_in_region(got, r) for r in _REGIONS] == \
+            [count_in_region(want, r) for r in _REGIONS]
 
 
 def test_roots_memory_bounded():
