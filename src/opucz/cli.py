@@ -172,14 +172,18 @@ def _run_intensity(cfg: dict) -> int:
     return 0
 
 
-def _write_run(cfg: dict, command: str, t0: float, processes: int,
-               files: dict, **results) -> None:
+def _write_run(cfg: dict, command: str, t0: float, stats, files: dict,
+               **results) -> None:
     """Write `<out><suffix>` for each of `files`, then `<out>.summary.json`
     (command, typed config, n/trials/seed/region, results, and under
-    `timing` the seconds since t0 and the processes that ran)."""
+    `timing` the seconds since t0 and how the run's EnsembleStats `stats`
+    was solved: the processes that ran, their start method and the blocks
+    each claimed)."""
     echoed = {k: cfg[k] for k in ("n", "trials", "seed", "region") if k in cfg}
     timing = {"elapsed_seconds": time.perf_counter() - t0,
-              "processes": processes}
+              "processes": stats.processes,
+              "start_method": stats.start_method,
+              "blocks_claimed": list(stats.blocks_claimed)}
     summary = {"command": command, "config": cfg, **echoed, **results,
                "timing": timing}
     files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
@@ -195,7 +199,7 @@ def _run_simulate(cfg: dict) -> int:
                          cfg["trials"], cfg["seed"], workers=cfg["threads"])
     counts = ["trial,count"] + [f"{t},{c}" for t, c in
                                 zip(stats.trial_indices, stats.counts)]
-    _write_run(cfg, "simulate", t0, stats.processes,
+    _write_run(cfg, "simulate", t0, stats,
                {".counts.csv": "\n".join(counts) + "\n"},
                mean=stats.mean, variance=stats.variance,
                se_mean=stats.se_mean, se_var=stats.se_var,
@@ -281,7 +285,7 @@ def _run_convergence(cfg: dict) -> int:
         ",".join([str(r.n)] + [_fmt(getattr(r, c))
                                for c in _CONVERGENCE_COLUMNS[1:]])
         for r in rows]
-    _write_run(cfg, "convergence", t0, rows[0].stats.processes,
+    _write_run(cfg, "convergence", t0, rows[0].stats,
                {".csv": "\n".join(csv_lines) + "\n",
                 ".svg": _convergence_svg(rows)},
                rows=[{c: getattr(r, c) for c in _CONVERGENCE_COLUMNS}

@@ -8,14 +8,14 @@ equal in size as can be, whose edges depend on the trial count alone; the
 roots of a block are found together (zerocount.roots on its coefficient
 rows), and a row's roots never depend on the other rows.  The blocks form
 one queue of jobs.  The calling process drains it itself, next to
-min(workers, CPUs this process may use) - 1 spawned helpers: each process
-claims the next job from one shared index until none is left, so
-`workers` counts the calling process, and one worker drains the queue
-alone with a plain local index.  Results are merged by job index, so the
-counts are identical for any worker count by construction.  A convergence
-study builds every degree's basis first and queues the blocks of all its
-degrees at once, largest degree first, so no process waits at a
-per-degree barrier.
+min(workers, CPUs this process may use) - 1 helpers, forked on Linux and
+spawned elsewhere: each process claims the next job from one shared index
+until none is left, so `workers` counts the calling process, and one
+worker drains the queue alone with a plain local index.  Results are
+merged by job index, so the counts are identical for any worker count by
+construction.  A convergence study builds every degree's basis first and
+queues the blocks of all its degrees at once, largest degree first, so no
+process waits at a per-degree barrier.
 
 The rootfinder is the count of record; on a 1% subsample of trials (the
 indices divisible by AUDIT_STRIDE) the argument-principle count audits it,
@@ -33,6 +33,7 @@ import functools
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -135,7 +136,17 @@ class EnsembleStats:
     # the largest ZeroSet residual of a counted trial's roots; above 1e-8
     # only for a root certified by its Newton correction (see ZeroSet)
     worst_residual: float = 0.0
-    processes: int = 1  # this process plus the helpers it started
+    # the blocks that each process drained from the queue this ensemble was
+    # solved in (a convergence study queues every degree in one), this
+    # process first, and how its helpers were started: "fork", "spawn", or
+    # None when no helper ran
+    blocks_claimed: Tuple[int, ...] = ()
+    start_method: str = None
+
+    @property
+    def processes(self) -> int:
+        """This process plus the helpers it started."""
+        return len(self.blocks_claimed)
 
 
 def _block_counts(job) -> tuple:
@@ -214,27 +225,42 @@ def _helper_drain(jobs: list) -> dict:
 
 
 def _solve(jobs: list, workers: int) -> tuple:
-    """(_block_counts of every job in job order, processes that ran).
+    """(_block_counts of every job in job order, the number of jobs each
+    process that ran drained, this one first, the helpers' start method or
+    None).
 
-    This process drains the queue next to min(workers, CPUs) - 1 spawned
-    helpers, all claiming from one shared index; alone, it drains it with a
-    local one.  The jobs are fixed beforehand, so the bound changes no
-    count.  The shared index lives only as long as the pool."""
+    This process drains the queue next to min(workers, CPUs) - 1 helpers,
+    all claiming from one shared index; alone, it drains it with a local
+    one.  The jobs are fixed beforehand, so the bound changes no count.
+    The shared index lives only as long as the pool.
+
+    The helpers are forked on Linux and spawned elsewhere.  A forked
+    helper starts with this process's imported modules and claims its
+    first job within milliseconds, where a spawned one first spends a few
+    tenths of a second importing numpy and this package again.  The pool
+    forks all its helpers before it starts its manager thread, and
+    multiprocessing flushes stdout and stderr before each fork, so no
+    buffered output is written twice.  Windows has no fork, and on macOS a
+    forked child of a process that has used the system frameworks may
+    crash, so there the helpers are spawned."""
     helpers = min(workers, _cpus()) - 1
+    method = None
     if helpers == 0:
-        done = _drain(jobs, itertools.count().__next__)
+        drained = [_drain(jobs, itertools.count().__next__)]
     else:
-        ctx = _mp.get_context("spawn")
+        method = "fork" if sys.platform.startswith("linux") else "spawn"
+        ctx = _mp.get_context(method)
         index = ctx.Value("q", 0)
         with ProcessPoolExecutor(max_workers=helpers, mp_context=ctx,
                                  initializer=_helper_init,
                                  initargs=(index,)) as pool:
             futures = [pool.submit(_helper_drain, jobs)
                        for _ in range(helpers)]
-            done = _drain(jobs, functools.partial(_claim, index))
-            for future in futures:
-                done.update(future.result())
-    return [done[i] for i in range(len(jobs))], helpers + 1
+            drained = [_drain(jobs, functools.partial(_claim, index))]
+            drained += [future.result() for future in futures]
+    done = {i: result for part in drained for i, result in part.items()}
+    return ([done[i] for i in range(len(jobs))],
+            [len(part) for part in drained], method)
 
 
 def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
@@ -244,9 +270,9 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     Identical (seed, config) give bit-identical counts for any `workers`.
     """
     _check_sizes(trials, workers)
-    done, processes = _solve([(basis, model, region, seed, lo, hi)
-                              for lo, hi in _blocks(trials)], workers)
-    return _stats(basis, region, trials, seed, done, processes)
+    done, claimed, method = _solve([(basis, model, region, seed, lo, hi)
+                                    for lo, hi in _blocks(trials)], workers)
+    return _stats(basis, region, trials, seed, done, claimed, method)
 
 
 def _check_sizes(trials: int, workers: int) -> None:
@@ -256,7 +282,8 @@ def _check_sizes(trials: int, workers: int) -> None:
         raise UsageError("workers must be >= 1")
 
 
-def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
+def _stats(basis, region, trials, seed, done, blocks_claimed,
+           start_method) -> EnsembleStats:
     """The ensemble of one basis from its blocks' results, in trial order."""
     raw = [c for counts, _ in done for c in counts]
     audited = sum(tally[0] for _, tally in done)
@@ -294,7 +321,8 @@ def _stats(basis, region, trials, seed, done, processes) -> EnsembleStats:
         trial_indices=kept, excluded=len(excluded_trials),
         excluded_trials=excluded_trials,
         exclusion_reasons=tuple(c for _, c in excluded), audited=audited,
-        audit_flagged=flagged, worst_residual=worst, processes=processes)
+        audit_flagged=flagged, worst_residual=worst,
+        blocks_claimed=tuple(blocks_claimed), start_method=start_method)
 
 
 @dataclass
@@ -330,14 +358,15 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     bases = [basis_family.build(n) for n in ns]
     blocks = _blocks(trials)
     # one queue for every degree, largest first: its blocks take longest
-    done, processes = _solve([(basis, model, region, seed, lo, hi)
-                              for basis in reversed(bases)
-                              for lo, hi in blocks], workers)
+    done, claimed, method = _solve([(basis, model, region, seed, lo, hi)
+                                    for basis in reversed(bases)
+                                    for lo, hi in blocks], workers)
     per_degree = [done[at:at + len(blocks)]
                   for at in range(0, len(done), len(blocks))][::-1]
     rows = []
     for n, basis, blocks_done in zip(ns, bases, per_degree):
-        stats = _stats(basis, region, trials, seed, blocks_done, processes)
+        stats = _stats(basis, region, trials, seed, blocks_done, claimed,
+                       method)
         dev = float(np.mean(np.abs(stats.counts / n - frac)))
         eps_n = float(regularity_report(basis).epsilons[-1])
         env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -115,8 +116,15 @@ def test_simulate_artifacts_and_rerun(tmp_path, capsys):
     assert summary["exclusion_reasons"] == []
     assert summary["audited"] + summary["audit_flagged"] == 1  # trial 0
     assert 0 < summary["worst_residual"] <= 1e-8  # no Newton-ground roots
-    assert list(summary["timing"]) == ["elapsed_seconds", "processes"]
-    assert 1 <= summary["timing"]["processes"] <= summary["config"]["threads"]
+    timing = summary["timing"]
+    assert list(timing) == ["elapsed_seconds", "processes", "start_method",
+                            "blocks_claimed"]
+    assert 1 <= timing["processes"] <= summary["config"]["threads"]
+    assert len(timing["blocks_claimed"]) == timing["processes"]
+    assert sum(timing["blocks_claimed"]) == len(mc._blocks(40))
+    assert timing["start_method"] == (
+        None if timing["processes"] == 1 else
+        "fork" if sys.platform.startswith("linux") else "spawn")
 
 
 def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
@@ -139,8 +147,11 @@ def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
     s3 = json.loads((tmp_path / "t3.summary.json").read_text())
     assert s3["config"]["threads"] == 3
     assert s3["timing"]["processes"] == min(3, mc._cpus())
+    assert sum(s3["timing"]["blocks_claimed"]) == 1  # 30 trials, one block
     s1 = json.loads((tmp_path / "t1.summary.json").read_text())
     assert s1["timing"]["processes"] == 1
+    assert s1["timing"]["start_method"] is None
+    assert s1["timing"]["blocks_claimed"] == [1]
 
 
 def test_simulate_mass_point_family(tmp_path, capsys):
@@ -204,7 +215,35 @@ def test_convergence_artifacts(tmp_path, capsys):
         (tmp_path / "c2.csv").read_bytes()
     summary = json.loads((tmp_path / "c.summary.json").read_text())
     assert list(summary)[-2:] == ["rows", "timing"]
-    assert list(summary["timing"]) == ["elapsed_seconds", "processes"]
+    timing = summary["timing"]
+    assert list(timing) == ["elapsed_seconds", "processes", "start_method",
+                            "blocks_claimed"]
+    assert len(timing["blocks_claimed"]) == timing["processes"]
+    # one queue for the study: two degrees of two blocks of 20 trials
+    assert sum(timing["blocks_claimed"]) == 2 * len(mc._blocks(40))
+
+
+def test_pooled_convergence_prints_its_csv(tmp_path, capsys, monkeypatch):
+    # with a helper forked from this process, stdout is still the CSV,
+    # byte for byte, and the same CSV as one worker writes
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
+    argv = ["convergence", "--alphas", "zero", "--region",
+            "sector:0.5:0:pi/2", "--ns", "10,20", "--trials", "70", "--seed",
+            "5"]
+    code, out, err = run(capsys, *argv, "--threads", "2", "--out",
+                         str(tmp_path / "two"))
+    assert code == 0, err
+    assert out == (tmp_path / "two.csv").read_text()
+    timing = json.loads((tmp_path / "two.summary.json").read_text())["timing"]
+    assert timing["processes"] == 2
+    assert sum(timing["blocks_claimed"]) == 2 * len(mc._blocks(70))
+    code, _, err = run(capsys, *argv, "--threads", "1", "--out",
+                       str(tmp_path / "one"))
+    assert code == 0, err
+    for suffix in (".csv", ".svg"):
+        assert (tmp_path / f"one{suffix}").read_bytes() == \
+            (tmp_path / f"two{suffix}").read_bytes()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

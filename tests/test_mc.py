@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -320,7 +323,7 @@ def test_convergence_study_opens_one_pool(monkeypatch):
 
 
 def _fake_pool(monkeypatch, helpers_work: bool) -> dict:
-    """Replace the spawn pool by a fake that starts no process and records
+    """Replace the helper pool by a fake that starts no process and records
     its size and every submitted call.  If `helpers_work`, a submitted drain
     runs at once in this process, after the pool's initializer, so the
     helpers claim every job before the parent does; otherwise they claim
@@ -375,6 +378,8 @@ def test_pool_bounded_by_usable_cpus(monkeypatch):
         got = run_ensemble(*args, workers=workers)
         assert _same_ensemble(got, alone)
         assert got.processes == min(workers, 3)
+        # the fake's first helper drains all three blocks at submission
+        assert got.blocks_claimed == (0, 3) + (0,) * (got.processes - 2)
     assert record["sizes"] == [2, 2, 1]
 
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
@@ -398,7 +403,7 @@ def test_idle_helpers_change_nothing(monkeypatch):
     alone = run_ensemble(*args, workers=1)
     idle = run_ensemble(*args, workers=3)
     assert record["sizes"] == [2] and len(record["submitted"]) == 2
-    assert idle.processes == 3
+    assert idle.processes == 3 and idle.blocks_claimed == (8, 0, 0)
     assert _same_ensemble(idle, alone)
     assert alone.audited + alone.audit_flagged == 3
 
@@ -429,12 +434,13 @@ def test_one_worker_builds_no_pool(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
     args = (alpha_family("zero").build(10), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
-    assert run_ensemble(*args, workers=1).processes == 1
+    alone = run_ensemble(*args, workers=1)
+    assert (alone.blocks_claimed, alone.start_method) == ((3,), None)
     monkeypatch.setattr(mc, "_cpus", lambda: 1)
     assert run_ensemble(*args, workers=4).processes == 1  # one usable CPU
     rows = convergence_study(alpha_family("zero"), coeff_model("gaussian"),
                              QUARTER, [10, 20], trials=8, seed=5, workers=1)
-    assert [r.stats.processes for r in rows] == [1, 1]
+    assert [r.stats.blocks_claimed for r in rows] == [(2,), (2,)]  # one queue
 
 
 def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
@@ -464,7 +470,51 @@ def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
                for i in done]
     assert sorted(claimed) == list(range(24))
     assert four.processes == 4 and len(futures) == 3
+    assert sum(four.blocks_claimed) == 24
     assert _same_ensemble(four, run_ensemble(*args, workers=1))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="helpers are forked on Linux only")
+def test_helpers_are_forked_from_this_process(monkeypatch):
+    # a forked helper runs this process's patched _block_counts, where a
+    # spawned one would import the module afresh and fail on these jobs;
+    # this process holds its first job until a helper has finished one, so
+    # a helper claims a job whatever the timing
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
+    parent = os.getpid()
+    helper_ran = multiprocessing.get_context("fork").Event()
+
+    def tagged(job):
+        if os.getpid() != parent:
+            helper_ran.set()
+        else:
+            helper_ran.wait(timeout=60)
+        return os.getpid()
+
+    monkeypatch.setattr(mc, "_block_counts", tagged)
+    pids, claimed, method = mc._solve([None, None], workers=2)
+    assert method == "fork" and len(claimed) == 2 and sum(claimed) == 2
+    assert helper_ran.is_set()
+    assert all(isinstance(pid, int) for pid in pids)
+    assert any(pid != parent for pid in pids)
+    assert claimed[1] == sum(pid != parent for pid in pids)
+
+
+def test_buffered_output_is_written_once(capfd, monkeypatch):
+    # text printed but not yet flushed when the helpers start reaches the
+    # terminal once: from this process, not again from a forked copy of its
+    # buffer
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
+    out = open(1, "w", closefd=False)  # block-buffered: fd 1 is captured
+    monkeypatch.setattr(sys, "stdout", out)
+    print("before the pool")
+    stats = run_ensemble(alpha_family("zero").build(10),
+                         coeff_model("gaussian"), Region.annulus(0.0, 0.6),
+                         2 * mc.BLOCK + 5, 3, workers=2)
+    out.flush()
+    assert stats.processes == 2
+    assert capfd.readouterr().out.count("before the pool") == 1
 
 
 def test_audit_mismatch_fails_the_ensemble(monkeypatch):
@@ -475,12 +525,11 @@ def test_audit_mismatch_fails_the_ensemble(monkeypatch):
     monkeypatch.setattr(mc, "_cpus", lambda: 2)
     args = (alpha_family("zero").build(12), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 250, 21)  # audits at 0, 100 and 200
-    with pytest.raises(AuditMismatch, match=r"trials 0, 100, 200$"):
-        run_ensemble(*args, workers=1)
-    # a spawned helper imports the module unpatched, but this process claims
-    # job 0, which holds trial 0, before any helper can have started
-    with pytest.raises(AuditMismatch, match=r"trials 0\b"):
-        run_ensemble(*args, workers=2)
+    # a helper forked from this process audits with the patched count too,
+    # so every audited trial fails, whichever process solved its block
+    for workers in (1, 2):
+        with pytest.raises(AuditMismatch, match=r"trials 0, 100, 200$"):
+            run_ensemble(*args, workers=workers)
     with pytest.raises(AuditMismatch, match=r"^n = 10: .* trials 0$"):
         convergence_study(alpha_family("zero"), coeff_model("gaussian"),
                           QUARTER, [10, 20], trials=40, seed=5, workers=1)
