@@ -59,7 +59,8 @@ class DegenerateLeadingCoefficient(ComputationError):
 
 
 class NoConvergence(ComputationError):
-    """Root polishing left a residual above tolerance."""
+    """The Aberth iteration left a root uncertified, even from the comrade
+    eigenvalues, or those eigenvalues could not be computed."""
 
 
 class BoundaryProximity(ComputationError):

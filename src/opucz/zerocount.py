@@ -3,15 +3,14 @@
 Two independent counting routes, both working in the basis itself:
 
   * roots + count_in_region: the zeros of a whole block of combinations at
-    once, by simultaneous Aberth-Ehrlich iteration in two stages: from the
-    unit circle on a monomial model of each row (FFT of circle samples,
-    Horner steps), then from the model's roots through the value
-    recursion.  Each root is certified against eta and each row's root set
-    proven by disjoint inclusion disks, whatever the start; a row whose
-    model is not to be trusted starts on the circle, and a row that is
-    refused goes alone through the eigenvalues of its comrade matrix (the
-    GGT matrix of multiplication by z, changed by rank one), with Newton
-    steps where needed.  Then a point-in-region test on each root.
+    once, by one simultaneous Aberth-Ehrlich iteration through the value
+    recursion, certified by one test: each root against eta, and each row's
+    root set by disjoint inclusion disks.  A row starts from the roots of
+    its monomial model (FFT of circle samples, Horner steps of the same
+    iteration), or on the unit circle where the model is not to be
+    trusted; a row that this does not prove starts again from the
+    eigenvalues of its comrade matrix (the GGT matrix of multiplication by
+    z, changed by rank one).  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs.  The result must land within 0.1 of an
@@ -48,7 +47,6 @@ from .opuc import OpucBasis, eval_poly
 
 DEGENERATE_LEAD = 1e-300
 RESIDUAL_SCALE = 1e-8
-NEWTON_STEPS = 5
 STEP_ULPS = 8
 ABERTH_STEPS = 60
 INTEGER_SLACK = 0.1
@@ -171,8 +169,9 @@ class ZeroSet:
 
     radii[i] is the radius of the Weierstrass inclusion disk about roots[i]:
     the disks of the set are pairwise disjoint, so each holds exactly one
-    zero.  It is 0 for a set that came from the comrade matrix, where no
-    disk was proven.
+    zero.  It is 0 for a set whose disks overlap even from the comrade
+    eigenvalues, as at an exact multiple zero: every root is certified, but
+    no disk is proven.
     """
 
     roots: np.ndarray
@@ -182,10 +181,6 @@ class ZeroSet:
 
 def _residual(p, scale) -> np.ndarray:
     return np.divide(np.abs(p), scale, out=np.zeros(scale.shape), where=scale > 0)
-
-
-def _newton_step(p, dp) -> np.ndarray:
-    return np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
 
 def _tiny(step, z) -> np.ndarray:
@@ -220,42 +215,6 @@ def _comrade(basis: OpucBasis, eta: np.ndarray) -> np.ndarray:
     m[np.arange(1, n), np.arange(n - 1)] = rho[:-1]
     m[:, -1] -= rho[-1] * eta[:-1] / eta[-1]
     return m[::-1, ::-1].T
-
-
-def _comrade_roots(basis: OpucBasis, eta: np.ndarray) -> ZeroSet:
-    """One row by the comrade eigenvalues, certified against eta.
-
-    Every eigenvalue is certified first; only those above the residual
-    bound get Newton steps, at most NEWTON_STEPS, each kept only if it
-    lowers the residual.
-    """
-    try:
-        rts = np.linalg.eigvals(_comrade(basis, eta))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"comrade eigenvalues failed: {exc}") from None
-    res = _residual(*eval_poly(basis, eta, rts))
-    bad = ~(res <= RESIDUAL_SCALE)  # a non-finite residual is bad too
-    if np.any(bad):
-        z = rts[bad]
-        p, dp, scale = eval_poly(basis, eta, z, derivs=True)
-        r, step = _residual(p, scale), _newton_step(p, dp)
-        for _ in range(NEWTON_STEPS):
-            cand = z - step
-            p, dp, scale = eval_poly(basis, eta, cand, derivs=True)
-            cres = _residual(p, scale)
-            better = cres < r  # a non-finite candidate never wins
-            z = np.where(better, cand, z)
-            r = np.where(better, cres, r)
-            step = np.where(better, _newton_step(p, dp), step)
-        tiny = _tiny(step, z)
-        if not np.all((r <= RESIDUAL_SCALE) | tiny):
-            worst = float(np.max(np.where(tiny, 0.0, r)))
-            raise NoConvergence(f"residual {worst:.3e} above {RESIDUAL_SCALE:.0e}"
-                                " and Newton correction above "
-                                f"{STEP_ULPS} ulps")
-        rts[bad] = z
-        res[bad] = r
-    return ZeroSet(rts, res, np.zeros(rts.size))
 
 
 def _circle(rows_n: int, n: int) -> np.ndarray:
@@ -463,8 +422,29 @@ def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
     return rad, gap
 
 
+def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
+    """The Aberth iteration through eval_poly on eta from the starts z0, and
+    its certificate.
+
+    Returns the roots with their residuals and inclusion radii, whether each
+    root settled on a ground of ZeroSet, and whether each row is proven:
+    every root so certified and the row's disks pairwise disjoint.
+    """
+    z, p, dp, scale, settled = _aberth(
+        functools.partial(eval_poly, basis, etas, derivs=True), z0)
+    res = _residual(p, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = p / dp
+    rad, gap = _inclusion_radii(basis, etas, z, p, scale)
+    certified = settled & ((res <= RESIDUAL_SCALE) | _tiny(newton, z))
+    # |z_i - z_j| >= gap_i > rad_i + max_k rad_k: the disks are disjoint
+    proven = (certified & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
+    return z, res, rad, certified, proven
+
+
 def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
-    if basis.order == 0:
+    n = basis.order
+    if n == 0:
         return [ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
                         np.zeros(0)) for _ in etas]
     found: list = [None] * etas.shape[0]
@@ -473,24 +453,29 @@ def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
         found[t] = DegenerateLeadingCoefficient(
             f"|leading coefficient| = {lead[t]:.3e}")
     todo = np.flatnonzero(lead > DEGENERATE_LEAD)
-    sub = etas[todo]
-    z, p, dp, scale, settled = _aberth(
-        functools.partial(eval_poly, basis, sub, derivs=True), _starts(basis, sub))
-    res = _residual(p, scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = p / dp
-    rad, gap = _inclusion_radii(basis, sub, z, p, scale)
-    # |z_i - z_j| >= gap_i > rad_i + max_k rad_k: the disks are disjoint
-    proven = (settled & ((res <= RESIDUAL_SCALE) | _tiny(newton, z))
-              & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
-    for k, t in enumerate(todo):
+    z, res, rad, _, proven = _settle(basis, etas[todo], _starts(basis, etas[todo]))
+    for k in np.flatnonzero(proven):
+        found[todo[k]] = ZeroSet(z[k], res[k], rad[k])
+    # every other row starts again from its comrade eigenvalues
+    redo, starts = [], []
+    for t in todo[~proven]:
+        try:
+            starts.append(np.linalg.eigvals(_comrade(basis, etas[t])))
+            redo.append(t)
+        except np.linalg.LinAlgError as exc:
+            found[t] = NoConvergence(f"comrade eigenvalues failed: {exc}")
+    if not redo:
+        return found
+    z, res, rad, certified, proven = _settle(basis, etas[redo], np.array(starts))
+    for k, t in enumerate(redo):
         if proven[k]:
             found[t] = ZeroSet(z[k], res[k], rad[k])
-            continue
-        try:
-            found[t] = _comrade_roots(basis, sub[k])
-        except NoConvergence as exc:
-            found[t] = exc
+        elif certified[k].all():  # disks overlap, as at a multiple zero
+            found[t] = ZeroSet(z[k], res[k], np.zeros(n))
+        else:
+            found[t] = NoConvergence(
+                f"{np.count_nonzero(~certified[k])} of {n} roots not certified "
+                f"after {ABERTH_STEPS} Aberth steps from the comrade eigenvalues")
     return found
 
 
@@ -499,14 +484,15 @@ def roots(basis: OpucBasis, eta):
 
     eta is one coefficient vector, shape (n+1,), or a block of them,
     shape (T, n+1).  The block's rows go through the Aberth iteration
-    together, twice: on their monomial models from the unit circle, then
-    through eval_poly on eta from the models' roots (see _starts; a row
-    whose samples spread by more than 1/sqrt(eps) starts the second stage
-    on the circle).  Only the second stage counts: a row's roots are proven
-    when each meets a ground of ZeroSet and the row's inclusion disks are
-    pairwise disjoint.  A row that hits the iteration cap or fails either
-    test is solved alone by its comrade matrix instead, and one that meets
-    no ground of ZeroSet there is refused.  A row's result never depends on the other rows of its block.
+    together, and their roots are settled and certified through eval_poly
+    on eta from one of three starts: the roots of each row's monomial model
+    (see _starts), the unit circle where a row's samples spread by more
+    than 1/sqrt(eps), and, for the rows that this does not prove, their
+    comrade eigenvalues.  A row's roots are proven when each meets a
+    ground of ZeroSet and the row's inclusion disks are pairwise disjoint.
+    A row that is not proven from its eigenvalues is refused, unless its
+    roots all meet a ground and only the disks overlap (radii 0).  A row's
+    result never depends on the other rows of its block.
 
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per

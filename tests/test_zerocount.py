@@ -592,3 +592,67 @@ def test_roots_memory_bounded():
         tracemalloc.stop()
     assert all(zs.radii.all() for zs in found)
     assert peak < 8 * 2 ** 20
+
+
+def _nan_starts(basis, etas):
+    return np.full((etas.shape[0], basis.order), np.nan + 0j)
+
+
+def test_eigenvalue_start_settles_and_proves_every_row(monkeypatch):
+    # NaN starts fail every row of the first pass, so each row starts again
+    # from its comrade eigenvalues: the same iteration and certificate prove
+    # it by disjoint disks, with the counts of the unforced call
+    blocks = []
+    for fam in ("zero", "decay:1:1", "weight:jacobi:pi:1"):
+        basis = alpha_family(fam).build(100)
+        etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                     trial_seed(42, t)) for t in range(8)])
+        blocks.append((basis, etas, roots(basis, etas)))
+    monkeypatch.setattr(zerocount, "_starts", _nan_starts)
+    for basis, etas, want in blocks:
+        for got, zs in zip(roots(basis, etas), want):
+            assert np.all(got.radii > 0)
+            assert [count_in_region(got, r) for r in _REGIONS] == \
+                [count_in_region(zs, r) for r in _REGIONS]
+
+
+def test_constant_half_rows_proven_from_eigenvalue_start():
+    # constant:0.5 at n = 300: trials 3 and 23 of seed 42 do not settle
+    # within ABERTH_STEPS from their start; from their comrade eigenvalues
+    # they are proven, and the mass-point root on the ray arg 0 counts in
+    # the sector that starts there
+    basis = alpha_family("constant:0.5").build(300)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in (3, 23)])
+    for zs in roots(basis, etas):
+        assert np.all(zs.radii > 0)
+        assert count_in_region(zs, Region.sector(0.5, 0, math.pi / 2)) == 59
+
+
+def test_failed_eigensolve_refuses_only_its_row(monkeypatch):
+    # a row whose comrade eigenvalues cannot be computed is refused; every
+    # other row of the block is the same as when solved alone
+    basis = alpha_family("decay:1:1").build(30)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(11, t)) for t in range(4)])
+    bad = zerocount._comrade(basis, etas[1])
+    eigvals = np.linalg.eigvals
+
+    def failing(m):
+        if np.array_equal(m, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(m)
+
+    monkeypatch.setattr(zerocount, "_starts", _nan_starts)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    found = roots(basis, etas)
+    assert isinstance(found[1], NoConvergence)
+    assert "comrade eigenvalues failed" in str(found[1])
+    with pytest.raises(NoConvergence):
+        roots(basis, etas[1])
+    for k in (0, 2, 3):
+        alone = roots(basis, etas[k])
+        assert np.all(found[k].radii > 0)
+        for got, want in zip((found[k].roots, found[k].residuals, found[k].radii),
+                             (alone.roots, alone.residuals, alone.radii)):
+            assert _bits(got) == _bits(want)
