@@ -113,79 +113,100 @@ def szego_build(alphas, n: int) -> OpucBasis:
     return OpucBasis(np.asarray(kappas), a)
 
 
-def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None):
+def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
+              scale: bool = True):
     """P = sum_k eta_k phi_k at every point of z, by the value recursion.
 
     Returns (P, scale) or, with derivs, (P, P', scale), where
     scale = sum_k |eta_k| |phi_k(z)|, so |P| / scale is the backward error
-    of z as a root relative to eta.  Where |z| > 1 the recursion carries
-    phi_j / z^j and phi_j* / z^j instead, and all three results come back
-    divided by z^n (the scale by |z|^n): the ratios P/P' and |P|/scale are
-    unchanged, and nothing overflows however large |z| is.
+    of z as a root relative to eta; with scale=False it is not computed and
+    comes back as None.  Where |z| > 1 the recursion carries phi_j / z^j and
+    phi_j* / z^j instead, and all three results come back divided by z^n
+    (the scale by |z|^n): the ratios P/P' and |P|/scale are unchanged, and
+    nothing overflows however large |z| is.
 
     eta is one coefficient vector for every point, or a block of them,
-    shape (T, n+1), with rows (an integer array shaped like z) naming the
-    row of each point.  A point's arithmetic is the same either way.
+    shape (T, n+1), with rows an integer array naming the row of each
+    point.  rows broadcasts against z, and the results take the broadcast
+    shape.  Shaped like z, rows gathers each point's coefficients from its
+    own row.  Shaped (T, 1) against points z of shape (m,), it evaluates
+    every row at the same m points, shape (T, m), and phi_j, phi_j* are
+    recursed once on the m points, not once per row.  A point's arithmetic
+    is the same whichever way it is asked for.
 
     phi and phi*, each with its derivative, step together in one stacked
-    array: a degree step is a fixed handful of ufunc calls into buffers
-    allocated once per call, and a block's coefficient columns are gathered
-    into one buffer each.  Every point still gets the operations of the
-    plain two-array recursion, in the same order and with the same operand
-    order, so the values are bit-identical to it.
+    array: a degree step is a fixed handful of ufunc calls into buffers and
+    views bound once per call, and a block's coefficient columns are
+    gathered into one buffer each.  Every point still gets the operations
+    of the plain two-array recursion, in the same order and with the same
+    operand order, so the values are bit-identical to it.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     if eta.shape[-1] != basis.order + 1 or eta.ndim != (1 if rows is None else 2):
         raise UsageError(f"coefficients of shape {eta.shape} for a "
                          f"degree-{basis.order} basis")
-    mods = np.abs(eta)
     if rows is None:
-        coefs, sizes = iter(eta.tolist()), iter(mods.tolist())
+        shape = z.shape
+        coefs = iter(eta.tolist())
+        sizes = iter(np.abs(eta).tolist()) if scale else None
     else:
-        ebuf, mbuf = np.empty(z.shape, dtype=np.complex128), np.empty(z.shape)
+        rows = np.asarray(rows)
+        shape = np.broadcast_shapes(z.shape, rows.shape)
+        z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
+        ebuf = np.empty(rows.shape, dtype=np.complex128)
         coefs = (c.take(rows, out=ebuf) for c in np.ascontiguousarray(eta.T))
-        sizes = (c.take(rows, out=mbuf) for c in np.ascontiguousarray(mods.T))
-    e0, m0 = next(coefs), next(sizes)
+        if scale:
+            mbuf = np.empty(rows.shape)
+            sizes = (c.take(rows, out=mbuf)
+                     for c in np.ascontiguousarray(np.abs(eta).T))
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
     zw = np.where(out, 1.0, z)
-    aw = np.abs(w)
     # fg[0] = (phi_j, phi_j') w^j and fg[1] = (phi_j*, phi_j*') w^j, each a
-    # stacked (value, derivative) pair; p = (P, P') so far
+    # stacked (value, derivative) pair, at the points of z; p = (P, P') so
+    # far and q the step's new term, at every point of the result
     fg = np.zeros((2, 2 if derivs else 1) + z.shape, dtype=np.complex128)
     fg[:, 0] = 1.0
-    fv = fg.view(np.float64)
+    fv, f, f0 = fg.view(np.float64), fg[0], fg[0, 0]
     x, y = np.empty_like(fg), np.empty_like(fg)
-    p = np.zeros(fg.shape[1:], dtype=np.complex128)
-    p[0] = e0
-    scale = np.full(z.shape, m0)
-    size = np.empty(z.shape)
+    xr = x[::-1]
+    if derivs:
+        x01, y00 = x[0, 1], y[0, 0]
+    p = np.zeros(fg.shape[1:2] + shape, dtype=np.complex128)
+    q = np.empty_like(p)
+    p[0] = next(coefs)
     zw_w = np.stack((zw, w))[:, None]
+    total = None
+    if scale:
+        aw = np.abs(w)
+        total = np.full(shape, next(sizes))
+        size, term = np.empty(z.shape), np.empty(shape)
     a = basis.alphas
     # each step's (conj alpha_j, alpha_j), shaped to broadcast against fg
     pairs = np.stack((a.conj(), a), axis=1).reshape(
         a.shape + (2,) + (1,) * (fg.ndim - 1))
     # x * (1/norm) on the float view: the values of numpy's x / norm, cheaper
     inv = 1.0 / np.sqrt(1.0 - np.abs(a) ** 2)
-    for pair, s, ej, mj in zip(pairs, inv.tolist(), coefs, sizes):
+    for pair, s, ej in zip(pairs, inv.tolist(), coefs):
         np.multiply(zw_w, fg, out=x)  # (zw f, w g)
         if derivs:
-            np.multiply(w, fg[0, 0, ...], out=y[0, 0, ...])
-            np.add(x[0, 1, ...], y[0, 0, ...], out=x[0, 1, ...])  # zw phi' + w phi
-        np.multiply(pair, x[::-1], out=y)  # (conj(alpha) w g, alpha zw f)
+            np.multiply(w, f0, out=y00)
+            np.add(x01, y00, out=x01)  # zw phi' + w phi
+        np.multiply(pair, xr, out=y)  # (conj(alpha) w g, alpha zw f)
         np.subtract(x, y, out=fg)
         fv *= s
-        np.multiply(ej, fg[0], out=y[0])
+        np.multiply(ej, f, out=q)
         np.multiply(w, p, out=p)
-        p += y[0]
-        np.abs(fg[0, 0, ...], out=size)
-        size *= mj
-        np.multiply(aw, scale, out=scale)
-        scale += size
+        p += q
+        if scale:
+            np.abs(f0, out=size)
+            np.multiply(size, next(sizes), out=term)
+            np.multiply(aw, total, out=total)
+            total += term
     if derivs:
-        return p[0], p[1], scale
-    return p[0], scale
+        return p[0], p[1], total
+    return p[0], total
 
 
 @dataclass

@@ -227,17 +227,18 @@ def _monomial_coefficients(basis: OpucBasis, etas: np.ndarray):
     """Each row's monomial coefficients c, P(z) = sum_k c_k z^k, and the
     spread max |P| / min |P| of the samples they came from.
 
-    P is sampled at the n+1 roots of unity by one eval_poly call and turned
-    into c by one FFT, so each c_k is off by about eps max |P| on the
-    circle.  eval_poly returns P / z^n where a sample's |z| rounds above 1;
-    the factor z^n that undoes it is computed on the n+1 points alone, since
-    a power taken over a block-sized array can round differently by
-    position.
+    P is sampled at the n+1 roots of unity by one eval_poly call for the
+    whole block, which runs the recursion for phi_k once on those n+1
+    points and combines it with every row's eta, and turned into c by one
+    FFT, so each c_k is off by about eps max |P| on the circle.  eval_poly
+    returns P / z^n where a sample's |z| rounds above 1; the factor z^n
+    that undoes it is computed on the n+1 points alone, since a power taken
+    over a block-sized array can round differently by position.
     """
     n = basis.order
     zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    rows = np.repeat(np.arange(etas.shape[0]), n + 1).reshape(-1, n + 1)
-    p, _ = eval_poly(basis, etas, np.tile(zs, (etas.shape[0], 1)), rows=rows)
+    p, _ = eval_poly(basis, etas, zs, rows=np.arange(etas.shape[0])[:, None],
+                     scale=False)
     p *= np.where(np.abs(zs) > 1.0, zs ** n, 1.0)
     mag = np.abs(p)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,10 +246,22 @@ def _monomial_coefficients(basis: OpucBasis, etas: np.ndarray):
     return np.fft.fft(p, axis=1) / (n + 1), spread
 
 
-def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray):
+def _horner_table(coefs: np.ndarray):
+    """_horner's coefficient table and each row's sum_k |c_k|, built once
+    for the model stage that evaluates the same coefficients every step.
+
+    Row r of the table holds c_n..c_0 and row t + r holds c_0..c_n: the
+    coefficients of row r's polynomial in u, highest power first.
+    """
+    return (np.ascontiguousarray(np.concatenate((coefs[:, ::-1], coefs)).T),
+            np.abs(coefs).sum(axis=1))
+
+
+def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table=None):
     """P and P' of the monomial model at each point z of row `rows`, by
     Horner's rule, scaled as eval_poly scales them, and the scale
-    sum_k |c_k| of the rounding bound.
+    sum_k |c_k| of the rounding bound.  table is _horner_table(coefs),
+    built here when not given.
 
     Where |z| > 1 the rule runs on the reversed polynomial Q(w) = P(z) w^n
     in w = 1/z, and returns P / z^n = Q and P' / z^n = w (n Q - w Q'):
@@ -259,11 +272,9 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray):
     by about eps max |P|, stops being more accurate anyway.
     """
     t, n = coefs.shape[0], coefs.shape[1] - 1
+    table, sums = _horner_table(coefs) if table is None else table
     out = np.abs(z) > 1.0
     u = np.divide(1.0, z, out=z.copy(), where=out)  # z inside, 1/z outside
-    # row r of the table holds c_n..c_0 and row t + r holds c_0..c_n: the
-    # coefficients of row r's polynomial in u, highest power first
-    table = np.ascontiguousarray(np.concatenate((coefs[:, ::-1], coefs)).T)
     at = rows + t * out
     c = np.empty_like(z)
     p, dp = table[0].take(at), np.zeros_like(z)
@@ -272,8 +283,7 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray):
         dp += p
         p *= u
         p += cj.take(at, out=c)
-    s = np.abs(coefs).sum(axis=1).take(rows)
-    return p, np.where(out, u * (n * p - u * dp), dp), s
+    return p, np.where(out, u * (n * p - u * dp), dp), sums.take(rows)
 
 
 def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
@@ -281,17 +291,21 @@ def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
 
     A row's start is the result of the same iteration run on its monomial
     model (_monomial_coefficients, evaluated by _horner) from the circle.
-    The model only proposes starts: the roots are settled and certified
-    through eval_poly on eta.  A row keeps the circle start where the model
-    is not to be trusted: its samples spread by more than 1/sqrt(eps), so
-    the coefficients hold fewer than half their digits, or the iteration
-    on the model ended with a non-finite point.
+    The block's samples cost one recursion for phi_k over the n+1 roots of
+    unity, and the model stage builds its Horner table once for all its
+    steps.  The model only proposes starts: the roots are settled and
+    certified through eval_poly on eta.  A row keeps the circle start where
+    the model is not to be trusted: its samples spread by more than
+    1/sqrt(eps), so the coefficients hold fewer than half their digits, or
+    the iteration on the model ended with a non-finite point.
     """
     z = _circle(etas.shape[0], basis.order)
     coefs, spread = _monomial_coefficients(basis, etas)
     model = np.flatnonzero(spread <= _MODEL_SPREAD)  # a NaN spread fails
     if model.size:
-        zm = _aberth(functools.partial(_horner, coefs[model]), z[model])[0]
+        cm = coefs[model]
+        zm = _aberth(functools.partial(_horner, cm, table=_horner_table(cm)),
+                     z[model])[0]
         fine = np.isfinite(zm).all(axis=1)
         z[model[fine]] = zm[fine]
     return z
@@ -442,6 +456,18 @@ def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
     return z, res, rad, certified, proven
 
 
+def _coefficients(basis: OpucBasis, eta, ndims) -> np.ndarray:
+    """eta as complex, refused unless it has one of the dimensions ndims,
+    rows of basis.order + 1 entries, and only finite entries."""
+    eta = np.asarray(eta, dtype=np.complex128)
+    if eta.ndim not in ndims or eta.shape[-1] != basis.order + 1:
+        raise UsageError(f"coefficients of shape {eta.shape} for a "
+                         f"degree-{basis.order} basis")
+    if not np.isfinite(eta).all():
+        raise UsageError("coefficients must be finite, got NaN or infinity")
+    return eta
+
+
 def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
     n = basis.order
     if n == 0:
@@ -497,11 +523,10 @@ def roots(basis: OpucBasis, eta):
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per
     row: its ZeroSet, or the ComputationError that refused it.
+    Coefficients that are not all finite raise UsageError, for one vector
+    or a whole block, before any work.
     """
-    eta = np.asarray(eta, dtype=np.complex128)
-    if eta.ndim not in (1, 2) or eta.shape[-1] != basis.order + 1:
-        raise UsageError(f"coefficients of shape {eta.shape} for a "
-                         f"degree-{basis.order} basis")
+    eta = _coefficients(basis, eta, (1, 2))
     found = _block_roots(basis, eta.reshape(-1, basis.order + 1))
     if eta.ndim == 2:
         return found
@@ -524,7 +549,7 @@ def _panel_integrals(basis: OpucBasis, eta: np.ndarray, arcs, arc, a, b):
     for k, (g, dg) in enumerate(arcs):
         on = arc == k
         z[on], dz[on] = g(t[on]), dg(t[on])
-    val, dval, _ = eval_poly(basis, eta, z, derivs=True)
+    val, dval, _ = eval_poly(basis, eta, z, derivs=True, scale=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = dval / val * dz * (0.5 * h) * _GL_WEIGHTS[None, :]
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
@@ -537,23 +562,29 @@ def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs):
     # The acceptance floor scales with the panel's absolute-value mass;
     # without it, roundoff in high-degree integrands (|terms| >> |sum|)
     # would keep panels churning forever.  Each level evaluates both halves
-    # of every open panel of every arc at once.
+    # of every open panel of every arc in one eval_poly call; the first
+    # level evaluates the eight initial panels of each arc in that call too.
     arc = np.repeat(np.arange(len(arcs)), 8)
     a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
     b = a + 0.125
-    whole, _ = _panel_integrals(basis, eta, arcs, arc, a, b)
+    whole = None
     total = 0.0 + 0.0j
-    spent = a.size
+    spent = 0
     for _ in range(_MAX_DEPTH):
         m = a.size
-        spent += 2 * m
+        mid = 0.5 * (a + b)
+        lo, hi = [a, mid], [mid, b]
+        if whole is None:
+            lo, hi = [a] + lo, [b] + hi
+        spent += len(lo) * m
         if spent > _PANEL_BUDGET:
             raise BoundaryProximity(
                 f"contour count spent its budget of {_PANEL_BUDGET} panels")
-        mid = 0.5 * (a + b)
         halves, scales = _panel_integrals(
-            basis, eta, arcs, np.concatenate([arc, arc]),
-            np.concatenate([a, mid]), np.concatenate([mid, b]))
+            basis, eta, arcs, np.tile(arc, len(lo)),
+            np.concatenate(lo), np.concatenate(hi))
+        if whole is None:
+            whole, halves, scales = halves[:m], halves[m:], scales[m:]
         left, right = halves[:m], halves[m:]
         err = np.abs(whole - (left + right))
         done = err < np.maximum(_PANEL_TOL, 1e-13 * (scales[:m] + scales[m:]))
@@ -578,9 +609,10 @@ def count_by_argument_principle(basis: OpucBasis, eta, region: Region) -> int:
     Gauss-Legendre panels.  A result farther than 0.1 from an integer,
     panels that never stabilize, or more than _PANEL_BUDGET panels raise
     BoundaryProximity -- the signal that a zero sits essentially on the
-    boundary.
+    boundary.  Coefficients that are not one finite vector of
+    basis.order + 1 entries raise UsageError.
     """
-    eta = np.asarray(eta, dtype=np.complex128)
+    eta = _coefficients(basis, eta, (1,))
     if abs(eta[-1]) <= DEGENERATE_LEAD:
         raise DegenerateLeadingCoefficient(
             f"|leading coefficient| = {abs(eta[-1]):.3e}")

@@ -209,6 +209,42 @@ def test_eval_poly_bit_for_bit_against_unstacked_oracle(fam):
                 assert np.array_equal(g, w), (derivs, len(args))
 
 
+SHARED_FAMILIES = ["zero", "decay:1:1", "weight:jacobi:pi:1", "constant:0.5"]
+
+
+@pytest.mark.parametrize("fam", SHARED_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+def test_eval_poly_shared_points_bit_for_bit_against_rows(fam, n):
+    # rows of shape (T, 1) against m shared points recurse phi once on the
+    # m points; every row and point gets the bits of the same points tiled
+    # per row, each naming its row.  The roots of unity at n = 37 include
+    # two that round to |z| > 1; the ring at 1.3 lies outside throughout.
+    # Skipping the scale leaves P and P' as they were.
+    b = alpha_family(fam).build(n)
+    rng = np.random.default_rng(n)
+    roots_of_unity = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    ring = 1.3 * np.exp(2j * np.pi * (np.arange(n + 1) + 0.1) / (n + 1))
+    for t in (1, 7, 32):
+        etas = rng.standard_normal((t, n + 1)) + 1j * rng.standard_normal((t, n + 1))
+        for zs in (roots_of_unity, ring):
+            tiled = np.tile(zs, (t, 1))
+            rows = np.repeat(np.arange(t), n + 1).reshape(t, n + 1)
+            for derivs in (False, True):
+                want = eval_poly(b, etas, tiled, derivs=derivs, rows=rows)
+                got = eval_poly(b, etas, zs, derivs=derivs,
+                                rows=np.arange(t)[:, None])
+                lean = eval_poly(b, etas, zs, derivs=derivs,
+                                 rows=np.arange(t)[:, None], scale=False)
+                assert len(got) == len(want) == len(lean)
+                assert lean[-1] is None
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape == (t, n + 1)
+                    assert g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes(), (t, derivs)
+                for g, w in zip(lean[:-1], want[:-1]):
+                    assert g.tobytes() == w.tobytes(), (t, derivs)
+
+
 def test_kappas_nondecreasing():
     fam = alpha_family("decay:0.9:0.5")
     b = fam.build(40)

@@ -537,9 +537,9 @@ def test_sample_spread_decides_the_start(monkeypatch, fam, modelled):
     rows_seen = []
     horner = zerocount._horner
 
-    def counting(coefs, z, rows):
+    def counting(coefs, z, rows, **kw):
         rows_seen.append(coefs.shape[0])
-        return horner(coefs, z, rows)
+        return horner(coefs, z, rows, **kw)
 
     monkeypatch.setattr(zerocount, "_horner", counting)
     assert all(zs.radii.all() for zs in roots(basis, etas))
@@ -656,3 +656,223 @@ def test_failed_eigensolve_refuses_only_its_row(monkeypatch):
         for got, want in zip((found[k].roots, found[k].residuals, found[k].radii),
                              (alone.roots, alone.residuals, alone.radii)):
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_coefficients_refused_before_any_work(monkeypatch, bad):
+    # a NaN or infinite coefficient, leading or not, is a usage error for
+    # one vector, for a whole block and for the contour count, raised
+    # before anything is evaluated
+    basis, _ = _plain(np.zeros(4))
+
+    def no_work(*args, **kw):
+        raise AssertionError("evaluated non-finite coefficients")
+
+    monkeypatch.setattr(zerocount, "eval_poly", no_work)
+    for eta in ([1, 2, 3, bad], [1, bad, 3, 4]):
+        with pytest.raises(UsageError):
+            roots(basis, eta)
+        with pytest.raises(UsageError):
+            roots(basis, [[-8, 0, 0, 1], eta])
+        for region in (Region.annulus(0.3, 0.6), Region.sector(0.5, 0, 1.0)):
+            with pytest.raises(UsageError):
+                count_by_argument_principle(basis, eta, region)
+
+
+def test_contour_count_refuses_malformed_coefficients():
+    # the contour count takes one vector of n + 1 coefficients: a scalar,
+    # a block or a vector of the wrong length is a usage error
+    basis, _ = _plain(np.zeros(4))
+    for eta in (5.0, [[-8, 0, 0, 1], [1, 2, 3, 4]], [1, 2, 3]):
+        with pytest.raises(UsageError):
+            count_by_argument_principle(basis, eta, Region.annulus(0.3, 0.6))
+
+
+def _monomial_coefficients_oracle(basis, etas):
+    """zerocount._monomial_coefficients by the tiled route: the n+1 roots of
+    unity repeated for every row, each point naming its row."""
+    n = basis.order
+    zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    rows = np.repeat(np.arange(etas.shape[0]), n + 1).reshape(-1, n + 1)
+    p, _ = eval_poly(basis, etas, np.tile(zs, (etas.shape[0], 1)), rows=rows)
+    p *= np.where(np.abs(zs) > 1.0, zs ** n, 1.0)
+    mag = np.abs(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = mag.max(axis=1, initial=0.0) / mag.min(axis=1, initial=np.inf)
+    return np.fft.fft(p, axis=1) / (n + 1), spread
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
+                                 "constant:0.5"])
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+def test_monomial_coefficients_bit_for_bit_against_tiled_oracle(fam, n):
+    # one recursion over the n+1 shared points gives every row the bits of
+    # the tiled route, whose recursion ran once per row
+    basis = alpha_family(fam).build(n)
+    for t in (1, 7, 32):
+        etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                     trial_seed(13, k)) for k in range(t)])
+        got = zerocount._monomial_coefficients(basis, etas)
+        want = _monomial_coefficients_oracle(basis, etas)
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w), t
+
+
+def test_block_samples_recurse_once_on_the_circle(monkeypatch):
+    # a 20-row block at n = 100 samples its rows through one recursion on
+    # the 101 roots of unity: no eval_poly call inside roots() evaluates
+    # the 2,020 circle points of 20 tiled copies
+    basis = alpha_family("zero").build(100)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in range(20)])
+    on_circle = []
+    inner = zerocount.eval_poly
+
+    def counting(basis, eta, z, **kw):
+        z = np.asarray(z)
+        on_circle.append(np.count_nonzero(np.abs(np.abs(z) - 1.0) <= 4 * zerocount._EPS))
+        return inner(basis, eta, z, **kw)
+
+    monkeypatch.setattr(zerocount, "eval_poly", counting)
+    assert all(zs.radii.all() for zs in roots(basis, etas))
+    assert max(on_circle) == 101
+
+
+def _panel_integrals_oracle(basis, eta, arcs, arc, a, b):
+    """zerocount._panel_integrals with eval_poly's scale computed, as it
+    was before the audit skipped it."""
+    h = (b - a)[:, None]
+    t = a[:, None] + h * (0.5 * (zerocount._GL_NODES[None, :] + 1.0))
+    z = np.empty(t.shape, dtype=np.complex128)
+    dz = np.empty(t.shape, dtype=np.complex128)
+    for k, (g, dg) in enumerate(arcs):
+        on = arc == k
+        z[on], dz[on] = g(t[on]), dg(t[on])
+    val, dval, _ = zerocount.eval_poly(basis, eta, z, derivs=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = dval / val * dz * (0.5 * h) * zerocount._GL_WEIGHTS[None, :]
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _contour_integral_oracle(basis, eta, arcs, spent_log):
+    """zerocount._contour_integral with the initial panels and their halves
+    in two eval_poly calls; spent_log collects the panels of each call."""
+    def panels(arc, a, b):
+        spent_log.append(a.size)
+        return _panel_integrals_oracle(basis, eta, arcs, arc, a, b)
+
+    arc = np.repeat(np.arange(len(arcs)), 8)
+    a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
+    b = a + 0.125
+    whole, _ = panels(arc, a, b)
+    total = 0.0 + 0.0j
+    spent = a.size
+    for _ in range(zerocount._MAX_DEPTH):
+        m = a.size
+        spent += 2 * m
+        if spent > zerocount._PANEL_BUDGET:
+            raise BoundaryProximity(
+                f"contour count spent its budget of {zerocount._PANEL_BUDGET} panels")
+        mid = 0.5 * (a + b)
+        halves, scales = panels(np.concatenate([arc, arc]),
+                                np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[:m], halves[m:]
+        err = np.abs(whole - (left + right))
+        done = err < np.maximum(zerocount._PANEL_TOL,
+                                1e-13 * (scales[:m] + scales[m:]))
+        total += np.sum(left[done]) + np.sum(right[done])
+        if np.all(done):
+            return complex(total), True
+        keep = ~done
+        arc = np.concatenate([arc[keep], arc[keep]])
+        a = np.concatenate([a[keep], mid[keep]])
+        b = np.concatenate([mid[keep], b[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+    return complex(total + np.sum(whole)), False
+
+
+def _contour_outcome(basis, eta, region, oracle):
+    """The integral's total bits and settled flag, or the refusal, with the
+    panels evaluated on the way."""
+    spent = []
+    with pytest.MonkeyPatch.context() as mp:
+        if oracle:
+            def run():
+                return _contour_integral_oracle(
+                    basis, eta, region.boundary_arcs(), spent)
+        else:
+            inner = zerocount._panel_integrals
+
+            def counting(basis, eta, arcs, arc, a, b):
+                spent.append(a.size)
+                return inner(basis, eta, arcs, arc, a, b)
+
+            mp.setattr(zerocount, "_panel_integrals", counting)
+
+            def run():
+                return zerocount._contour_integral(
+                    basis, eta, region.boundary_arcs())
+        try:
+            total, settled = run()
+            outcome = (np.complex128(total).tobytes(), settled)
+        except BoundaryProximity as exc:
+            outcome = str(exc)
+    return outcome, sum(spent)
+
+
+_CONTOURS = [Region.annulus(0.3, 0.6), Region.annulus(0.8, 0.95),
+             Region.annulus(0, 0.5), Region.annulus(1.5, 2),
+             Region.sector(0.5, 0, math.pi / 2), Region.sector(0.7, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_contour_integral_bit_for_bit_against_two_call_oracle(fam, n):
+    # evaluating the initial panels together with their halves changes no
+    # total, no settled flag and no panel count
+    basis = alpha_family(fam).build(n)
+    for seed in (1, 2, 3):
+        eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(seed, 0))
+        for region in _CONTOURS:
+            got = _contour_outcome(basis, eta, region, False)
+            want = _contour_outcome(basis, eta, region, True)
+            assert got == want, (seed, region)
+            assert isinstance(got[0], tuple) and got[0][1]
+
+
+def test_contour_refusal_spends_the_oracle_panels(monkeypatch):
+    # a zero on the contour is refused after the same panel spend as the
+    # oracle: the mass point of constant:0.5 on the ray arg 0, and the root
+    # of z - 0.6 on the circle |z| = 0.6, each spend the panel budget.
+    # Smaller budgets, from 100 (above the 96 panels of a sector's first
+    # level) up, are met at the same level too.
+    basis = alpha_family("constant:0.5").build(100)
+    eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(42, 0))
+    for budget in (*range(100, 1000, 30), zerocount._PANEL_BUDGET):
+        monkeypatch.setattr(zerocount, "_PANEL_BUDGET", budget)
+        for b, e, region in ((basis, eta, Region.sector(0.5, 0, math.pi / 2)),
+                             (*_plain([-0.6, 1.0]), Region.annulus(0.3, 0.6))):
+            got = _contour_outcome(b, e, region, False)
+            assert got == _contour_outcome(b, e, region, True), budget
+            assert f"budget of {budget} panels" in got[0]
+
+
+def test_audit_saves_one_evaluation(monkeypatch):
+    # the audit of annulus(0.3, 0.6) evaluates its initial panels with
+    # their halves: one eval_poly call fewer than the two-call oracle
+    basis = alpha_family("zero").build(100)
+    eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(42, 0))
+    calls = []
+    inner = zerocount.eval_poly
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return inner(*args, **kw)
+
+    region = Region.annulus(0.3, 0.6)
+    monkeypatch.setattr(zerocount, "eval_poly", counting)
+    count_by_argument_principle(basis, eta, region)
+    got = len(calls)
+    calls.clear()
+    _contour_integral_oracle(basis, eta, region.boundary_arcs(), [])
+    assert got == len(calls) - 1
