@@ -293,17 +293,21 @@ def moments_from_weight(w: WeightSpec, count: int, nodes: int = 1024) -> np.ndar
 
     Normalized so c_0 = 1.  The periodic trapezoid rule (a single FFT per
     refinement level) is doubled until no returned moment moves by more than
-    1e-10; refinement past the node cap raises QuadratureNotConverged.
+    1e-10; refinement past the node cap raises QuadratureNotConverged.  Node
+    0 takes the mean of w(0) and w(2 pi): a jacobi weight whose angle is not
+    pi jumps there, and the one-sided value alone would leave an O(h) error.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
     # need well over 2*count samples before the DFT rows stop aliasing
     floor = max(16, nodes, 4 * (count + 1))
     m = 1 << (floor - 1).bit_length()
+    seam = w.evaluate(2 * np.pi)
 
     def level(nn: int) -> np.ndarray:
         th = 2 * np.pi * np.arange(nn) / nn
         vals = w.evaluate(th)
+        vals[0] = 0.5 * (vals[0] + seam)
         # c_k = (2 pi / nn) * sum w(th_m) exp(-i k th_m): rows of the DFT
         spec = np.fft.fft(vals) * (2 * np.pi / nn)
         return spec[: count + 1] / spec[0].real

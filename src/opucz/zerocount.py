@@ -6,11 +6,13 @@ Two independent counting routes, both working in the basis itself:
     once, by one simultaneous Aberth-Ehrlich iteration through the value
     recursion, certified by one test: each root against eta, and each row's
     root set by disjoint inclusion disks.  A row starts from the roots of
-    its monomial model (FFT of circle samples, Horner steps of the same
-    iteration), or on the unit circle where the model is not to be
-    trusted; a row that this does not prove starts again from the
-    eigenvalues of its comrade matrix (the GGT matrix of multiplication by
-    z, changed by rank one).  Then a point-in-region test on each root.
+    its monomial model (FFT of circle samples, a closed-form first step
+    from the circle, then Horner steps of the same iteration), or on the
+    unit circle where the model is not to be trusted; a row that this does
+    not prove starts again from the eigenvalues of its comrade matrix (the
+    GGT matrix of multiplication by z, changed by rank one).  Each start is
+    first checked by P alone, so a start that is already a root costs no
+    derivatives.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs.  The result must land within 0.1 of an
@@ -286,32 +288,63 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table=None):
     return p, np.where(out, u * (n * p - u * dp), dp), sums.take(rows)
 
 
+def _circle_step(coefs: np.ndarray) -> np.ndarray:
+    """The first Aberth step on each row's monomial model from the circle
+    start, in closed form.
+
+    The n starts z_k = e^{2 pi i (k + 1/4) / n} are the roots of z^n - i,
+    so z_k^j = tau^j e^{2 pi i jk/n} with tau = e^{i pi / (2n)}: P(z_k) is
+    an inverse DFT of c_j tau^j (j < n) plus i c_n, P'(z_k) one of
+    (j + 1) c_{j+1} tau^j, and the repulsion sum_{j != k} 1 / (z_k - z_j)
+    is (n - 1) / (2 z_k), the value of f'' / (2 f') for f = z^n - i.  Two
+    FFTs per row replace a Horner pass and a pairwise pass.  An
+    approximation that the iteration would settle at the circle, by
+    _horner's rounding bound, stays there; a row with a non-finite step
+    comes back non-finite.
+    """
+    n = coefs.shape[1] - 1
+    sums = np.abs(coefs).sum(axis=1, keepdims=True)
+    z = _circle(1, n)[0]
+    tau = np.exp(0.5j * np.pi * np.arange(n) / n)
+    p = np.fft.ifft(coefs[:, :n] * tau, axis=1, norm="forward") + 1j * coefs[:, n:]
+    dp = np.fft.ifft(coefs[:, 1:] * (np.arange(1, n + 1) * tau), axis=1,
+                     norm="forward")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        newton = p / dp
+        step = newton / (1.0 - newton * ((n - 1) / (2.0 * z)))
+    stay = (np.abs(p) <= _roundoff(n, sums)) | _tiny(newton, z)
+    return np.where(stay, z, z - step)
+
+
 def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
     """Starting points for the Aberth iteration in the basis, one row each.
 
     A row's start is the result of the same iteration run on its monomial
-    model (_monomial_coefficients, evaluated by _horner) from the circle.
-    The block's samples cost one recursion for phi_k over the n+1 roots of
-    unity, and the model stage builds its Horner table once for all its
-    steps.  The model only proposes starts: the roots are settled and
-    certified through eval_poly on eta.  A row keeps the circle start where
-    the model is not to be trusted: its samples spread by more than
-    1/sqrt(eps), so the coefficients hold fewer than half their digits, or
+    model (_monomial_coefficients, evaluated by _horner) from the circle,
+    whose first step is taken in closed form (_circle_step).  The block's
+    samples cost one recursion for phi_k over the n+1 roots of unity, and
+    the model stage builds its Horner table once for all its steps.  The
+    model only proposes starts: the roots are settled and certified through
+    eval_poly on eta.  A row keeps the circle start where the model is not
+    to be trusted: its samples spread by more than 1/sqrt(eps), so the
+    coefficients hold fewer than half their digits, or its first step or
     the iteration on the model ended with a non-finite point.
     """
     z = _circle(etas.shape[0], basis.order)
     coefs, spread = _monomial_coefficients(basis, etas)
     model = np.flatnonzero(spread <= _MODEL_SPREAD)  # a NaN spread fails
     if model.size:
-        cm = coefs[model]
+        z1 = _circle_step(coefs[model])
+        ok = np.isfinite(z1).all(axis=1)
+        model, cm = model[ok], coefs[model[ok]]
         zm = _aberth(functools.partial(_horner, cm, table=_horner_table(cm)),
-                     z[model])[0]
+                     z1[ok])[0]
         fine = np.isfinite(zm).all(axis=1)
         z[model[fine]] = zm[fine]
     return z
 
 
-def _aberth(evaluate, z0: np.ndarray):
+def _aberth(evaluate, z0: np.ndarray, check=None):
     """Simultaneous Aberth-Ehrlich iteration from the starts z0, one row of
     n approximations per polynomial.
 
@@ -323,7 +356,14 @@ def _aberth(evaluate, z0: np.ndarray):
     moving, once |P| is within the rounding bound or its Newton correction
     is at most STEP_ULPS ulps.  A row with a non-finite approximation fails
     and leaves the iteration.  Returns z, P, P' and the scale at each
-    settled approximation, and which ones settled.
+    settled approximation, and which ones settled; P' is left 0 where
+    check settled the start.
+
+    check(z, rows=rows), when given, gives P and the scale alone, with the
+    bits evaluate gives them: every start is tested once against the
+    rounding bound by it, and only the starts that fail reach evaluate, so
+    starts that are already roots cost no derivatives.  The result is the
+    same as without check.
 
     The repulsion sums run over chunks of the live approximations (see
     _repulsion), never over an (n x live) array: each chunk's temporaries
@@ -336,6 +376,12 @@ def _aberth(evaluate, z0: np.ndarray):
     settled = np.zeros(z.shape, dtype=bool)
     flat = z.reshape(-1)
     live = np.arange(z.size)  # flat indices of moving approximations
+    if check is not None:
+        pl, sl = check(flat, rows=live // n)
+        done = np.abs(pl) <= _roundoff(n, sl)
+        p.flat[done], scale.flat[done] = pl[done], sl[done]
+        settled.flat[done] = True
+        live = live[~done]
     for _ in range(ABERTH_STEPS):
         if not live.size:
             break
@@ -440,12 +486,17 @@ def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
     """The Aberth iteration through eval_poly on eta from the starts z0, and
     its certificate.
 
-    Returns the roots with their residuals and inclusion radii, whether each
-    root settled on a ground of ZeroSet, and whether each row is proven:
-    every root so certified and the row's disks pairwise disjoint.
+    Every start is first checked by one eval_poly call without derivatives
+    (the check of _aberth): most roots of a monomial model already meet the
+    rounding bound in the basis, and only the starts that do not enter the
+    steps that carry P'.  Returns the roots with their residuals and
+    inclusion radii, whether each root settled on a ground of ZeroSet, and
+    whether each row is proven: every root so certified and the row's disks
+    pairwise disjoint.
     """
     z, p, dp, scale, settled = _aberth(
-        functools.partial(eval_poly, basis, etas, derivs=True), z0)
+        functools.partial(eval_poly, basis, etas, derivs=True), z0,
+        check=functools.partial(eval_poly, basis, etas))
     res = _residual(p, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = p / dp

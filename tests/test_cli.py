@@ -83,6 +83,17 @@ def test_basis_report_decreasing_epsilon(capsys):
     assert eps[12] < eps[2]
 
 
+def test_basis_report_for_off_pi_jacobi_weight(capsys):
+    # a jacobi weight whose angle is not pi jumps at the seam 0 = 2 pi;
+    # its moments converge, and the command builds and reports the basis
+    code, out, err = run(capsys, "basis", "--alphas", "weight:jacobi:1:1",
+                         "--n", "12", "--report")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,epsilon_k,nevai_proxy"
+    assert len(lines) == 13
+
+
 def test_simulate_artifacts_and_rerun(tmp_path, capsys):
     args = ["simulate", "--alphas", "zero", "--n", "12", "--model",
             "gaussian", "--region", "annulus:0:0.5", "--trials", "40",

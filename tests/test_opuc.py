@@ -328,6 +328,31 @@ def test_jacobi_weight_moments_against_slow_quadrature():
         assert abs(c[k] - raw / raw0) < 1e-8
 
 
+def _moments_oracle(w, count, m=400):
+    """moments_from_weight by Gauss-Legendre on each smooth piece of
+    [0, 2 pi), split at the weight's angles, where |theta - theta_j|^e
+    has its kink and the weight's seam at 0 = 2 pi its jump."""
+    x, g = np.polynomial.legendre.leggauss(m)
+    edges = np.unique(np.concatenate(([0.0, 2 * np.pi], w.thetas)))
+    th = np.concatenate([lo + (hi - lo) * (x + 1) / 2
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    wt = np.concatenate([g * (hi - lo) / 2 for lo, hi in zip(edges[:-1], edges[1:])])
+    c = (np.exp(-1j * np.arange(count + 1)[:, None] * th)
+         * (w.evaluate(th) * wt)).sum(axis=1)
+    return c / c[0].real
+
+
+@pytest.mark.parametrize("theta,e", [(1.0, 1.0), (0.5, 2.0), (4.0, 1.5),
+                                     (1.0, 3.0), (math.pi, 1.0), (math.pi, 2.0)])
+def test_jacobi_moments_against_piecewise_gauss_oracle(theta, e):
+    # a jacobi weight whose angle is not pi jumps at the seam 0 = 2 pi:
+    # node 0 takes the mean of both sides, and the moments converge to
+    # within half the refinement tolerance of the oracle
+    w = WeightSpec.generalized_jacobi([theta], [e])
+    got = moments_from_weight(w, 12)
+    assert np.max(np.abs(got - _moments_oracle(w, 12))) < 5e-11
+
+
 def test_levinson_lebesgue_roundtrip_exact():
     c = np.zeros(13, dtype=complex)
     c[0] = 1

@@ -876,3 +876,162 @@ def test_audit_saves_one_evaluation(monkeypatch):
     calls.clear()
     _contour_integral_oracle(basis, eta, region.boundary_arcs(), [])
     assert got == len(calls) - 1
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
+                                 "weight:cosine"])
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 200])
+def test_circle_step_matches_one_horner_step(monkeypatch, fam, n):
+    # the closed-form first step is one Aberth step of _horner from
+    # _circle, to 1e-12 relative.  The Horner step starts from the circle
+    # points as rounded to doubles, the closed form from the roots of
+    # z^n = i themselves; the step moves its start's error by about
+    # 1 / |1 - N pull|, so the tolerance grows where that is below 1
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(17, t)) for t in range(8)])
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    circle = zerocount._circle(8, n)
+    monkeypatch.setattr(zerocount, "ABERTH_STEPS", 1)
+    want = zerocount._aberth(functools.partial(zerocount._horner, coefs),
+                             circle)[0]
+    got = zerocount._circle_step(coefs)
+    rows, pos = np.divmod(np.arange(circle.size), n)
+    p, dp, _ = zerocount._horner(coefs, circle.reshape(-1), rows)
+    pull = zerocount._repulsion(circle, circle.reshape(-1), rows, pos)
+    cond = np.minimum(1.0, np.abs(1.0 - p / dp * pull)).reshape(circle.shape)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) * cond <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 200])
+def test_row_with_vanishing_model_derivative_keeps_the_circle(monkeypatch, n):
+    # a model whose P' vanishes at a circle point has no finite first step:
+    # its row keeps the circle start, and every other row of the block is
+    # started as when it is alone.  Row 1's model is a constant (P' = 0
+    # everywhere); at n = 2 row 2's model is z^2 - 2 tau z + 1/2, whose P'
+    # is exactly 0 at the circle point z_0 = tau = e^{i pi / 4}
+    basis = alpha_family("decay:1:1").build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(19, t)) for t in range(4)])
+    sample = zerocount._monomial_coefficients
+    coefs, spread = sample(basis, etas)
+    bad = [1]
+    coefs[1] = 0.0
+    coefs[1, 0] = 1.0
+    if n == 2:
+        coefs[2] = [0.5, -2.0 * np.exp(0.5j * np.pi / 2), 1.0]
+        bad.append(2)
+    spread[:] = 1.0
+    assert not np.isfinite(zerocount._circle_step(coefs)[bad]).all(axis=1).any()
+    monkeypatch.setattr(zerocount, "_monomial_coefficients",
+                        lambda basis, etas: (coefs, spread))
+    got = zerocount._starts(basis, etas)
+    assert _bits(got[bad]) == _bits(zerocount._circle(len(bad), n))
+    monkeypatch.setattr(zerocount, "_monomial_coefficients", sample)
+    for k in sorted({0, 1, 2, 3} - set(bad)):
+        assert _bits(got[k]) == _bits(zerocount._starts(basis, etas[k:k + 1])[0])
+
+
+def _settle_oracle(basis, etas, z0):
+    """zerocount._settle without the value-only check: every start enters
+    the Aberth steps that carry P'."""
+    with np.errstate(invalid="ignore"):  # NaN starts
+        z, p, dp, scale, settled = _aberth_oracle(
+            functools.partial(eval_poly, basis, etas, derivs=True), z0)
+    res = zerocount._residual(p, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = p / dp
+    rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
+    certified = settled & ((res <= zerocount.RESIDUAL_SCALE)
+                           | zerocount._tiny(newton, z))
+    proven = (certified & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
+    return z, res, rad, certified, proven
+
+
+def _checked_settle(monkeypatch, starts):
+    """Patch zerocount._settle to assert, on every call, the bits of the
+    oracle; each call's starts are appended to `starts`."""
+    settle = zerocount._settle
+
+    def checked(basis, etas, z0):
+        starts.append(np.array(z0))
+        got = settle(basis, etas, z0)
+        for g, w in zip(got, _settle_oracle(basis, etas, z0)):
+            assert _bits(g) == _bits(w)
+        return got
+
+    monkeypatch.setattr(zerocount, "_settle", checked)
+
+
+@pytest.mark.parametrize("fam,n", [("zero", 25), ("zero", 100),
+                                   ("decay:1:1", 100), ("weight:jacobi:pi:1", 200)])
+def test_settle_from_model_starts_bit_for_bit(monkeypatch, fam, n):
+    # rows that start from their model's roots: the value-only check gives
+    # the roots, residuals, radii and verdicts of the settle without it
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(23, t)) for t in range(8)])
+    starts = []
+    _checked_settle(monkeypatch, starts)
+    assert all(zs.radii.all() for zs in roots(basis, etas))
+    assert len(starts) == 1
+
+
+def test_settle_from_circle_starts_bit_for_bit(monkeypatch):
+    # constant:0.5 rows start on the circle; from there no start meets the
+    # rounding bound, and the settle is the same bits as without the check
+    basis = alpha_family("constant:0.5").build(100)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in range(8)])
+    starts = []
+    _checked_settle(monkeypatch, starts)
+    roots(basis, etas)
+    assert _bits(starts[0]) == _bits(zerocount._circle(8, 100))
+
+
+def test_settle_from_eigenvalue_starts_bit_for_bit(monkeypatch):
+    # NaN starts send every row on to its comrade eigenvalues (as in
+    # test_eigenvalue_start_settles_and_proves_every_row): both settles,
+    # the failed one and the one from the eigenvalues, are the oracle's bits
+    monkeypatch.setattr(zerocount, "_starts", _nan_starts)
+    for fam in ("zero", "decay:1:1", "weight:jacobi:pi:1"):
+        basis = alpha_family(fam).build(100)
+        etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                     trial_seed(42, t)) for t in range(8)])
+        starts = []
+        _checked_settle(monkeypatch, starts)
+        assert all(zs.radii.all() for zs in roots(basis, etas))
+        assert len(starts) == 2 and np.isnan(starts[0]).all()
+        for z0, eta in zip(starts[1], etas):
+            assert _bits(z0) == _bits(np.linalg.eigvals(zerocount._comrade(basis, eta)))
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1"])
+def test_settle_checks_values_before_derivatives(monkeypatch, fam):
+    # the first basis call of a block's settle computes no derivatives and
+    # sees every start; the first call with derivatives sees exactly the
+    # starts that missed the rounding bound, and no later one sees any
+    # start that met it.  On these families that is under a tenth of them
+    basis = alpha_family(fam).build(100)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in range(20)])
+    calls = []
+    inner = zerocount.eval_poly
+
+    def recording(basis, eta, z, **kw):
+        got = inner(basis, eta, z, **kw)
+        if kw.get("scale", True):  # not the model's circle samples
+            calls.append((kw.get("derivs", False), np.array(z), got))
+        return got
+
+    monkeypatch.setattr(zerocount, "eval_poly", recording)
+    assert all(zs.radii.all() for zs in roots(basis, etas))
+    (first, z0, (p, scale)), *rest = calls
+    assert not first and z0.size == 20 * 100
+    missed = np.abs(p) > zerocount._roundoff(100, scale)
+    assert all(derivs for derivs, _, _ in rest)
+    assert _bits(rest[0][1]) == _bits(z0[missed])
+    met = set(z0[~missed].tolist())
+    assert not any(met & set(z.tolist()) for _, z, _ in rest)
+    assert 0 < np.count_nonzero(missed) < 0.1 * z0.size
