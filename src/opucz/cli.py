@@ -10,6 +10,13 @@ parser, picks the keys of a JSON --config file, merges that file under the
 explicit flags, and converts the merged values in one pass into the typed
 dict the runner reads.  Every artifact-writing run echoes that dict as the
 `config` of its summary JSON, so the file can be fed back to --config.
+
+Each subcommand loads only the modules it runs.  This module imports the
+ensemble code (mc, opuc, zerocount) at the top, since simulate and
+convergence need it and the helpers they fork inherit it; kernel,
+intensity and varlim are imported inside the runners that call them, so an
+ensemble run and its helpers never load them.  The --route and --method
+choices are plain names that those runners look up.
 """
 from __future__ import annotations
 
@@ -22,11 +29,8 @@ import sys
 import time
 
 from .errors import ComputationError, UsageError
-from .intensity import rho1_limit, rho1_n, rho2_limit, rho2_n
-from .kernel import kernel_cd, kernel_direct
 from .mc import coeff_model, convergence_study, run_ensemble
 from .opuc import _parse_scalar, alpha_family, regularity_report
-from .varlim import var_limit_closed, var_limit_quadrature, var_limit_series
 from .zerocount import Region
 
 
@@ -102,12 +106,12 @@ def _switch(value) -> bool:
     raise ValueError(f"not a JSON boolean: {value!r}")
 
 
-def _choice(options: dict):
-    """A converter from a name to what `options` maps it to."""
+def _choice(*options: str):
+    """A converter that accepts one of the names `options`."""
     def convert(value):
         if str(value) not in options:
             raise ValueError(f"{value!r} is not one of {', '.join(options)}")
-        return options[str(value)]
+        return str(value)
     convert.metavar = "{" + ",".join(options) + "}"
     return convert
 
@@ -151,14 +155,17 @@ def _run_basis(cfg: dict) -> int:
 
 
 def _run_kernel(cfg: dict) -> int:
+    from . import kernel
+    route = {"direct": kernel.kernel_direct, "cd": kernel.kernel_cd}
     basis = alpha_family(cfg["alphas"]).build(cfg["n"] + 1)
-    k = cfg["route"](basis, cfg["z"], cfg["w"], n=cfg["n"])
+    k = route[cfg["route"]](basis, cfg["z"], cfg["w"], n=cfg["n"])
     for name in ("K", "K01", "K11"):
         print(f"{name} {_fmt_c(getattr(k, name))}")
     return 0
 
 
 def _run_intensity(cfg: dict) -> int:
+    from .intensity import rho1_limit, rho1_n, rho2_limit, rho2_n
     z, w, n = cfg["z"], cfg["w"], cfg["n"]
     if cfg["limit"]:
         out = rho1_limit(z) if w is None else rho2_limit(z, w)
@@ -177,13 +184,15 @@ def _write_run(cfg: dict, command: str, t0: float, stats, files: dict,
     """Write `<out><suffix>` for each of `files`, then `<out>.summary.json`
     (command, typed config, n/trials/seed/region, results, and under
     `timing` the seconds since t0 and how the run's EnsembleStats `stats`
-    was solved: the processes that ran, their start method and the blocks
-    each claimed)."""
+    was solved: the processes that ran, their start method, and the blocks
+    each claimed and its peak resident set size in MB, this process
+    first)."""
     echoed = {k: cfg[k] for k in ("n", "trials", "seed", "region") if k in cfg}
     timing = {"elapsed_seconds": time.perf_counter() - t0,
               "processes": stats.processes,
               "start_method": stats.start_method,
-              "blocks_claimed": list(stats.blocks_claimed)}
+              "blocks_claimed": list(stats.blocks_claimed),
+              "peak_rss_mb": list(stats.peak_rss_mb)}
     summary = {"command": command, "config": cfg, **echoed, **results,
                "timing": timing}
     files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
@@ -296,7 +305,15 @@ def _run_convergence(cfg: dict) -> int:
 
 
 def _run_variance_limit(cfg: dict) -> int:
-    print(_fmt(cfg["method"](cfg).value))
+    from . import varlim
+    s, t, method = cfg["s"], cfg["t"], cfg["method"]
+    if method == "closed":
+        out = varlim.var_limit_closed(s, t)
+    elif method == "series":
+        out = varlim.var_limit_series(s, t, tol=cfg["tol"])
+    else:
+        out = varlim.var_limit_quadrature(s, t, target=cfg["target"])
+    print(_fmt(out.value))
     return 0
 
 
@@ -316,7 +333,7 @@ _COMMANDS = {
     "kernel": (_run_kernel, "evaluate the reproducing kernel", {
         "alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
         "z": (_complex, _REQUIRED), "w": (_complex, _REQUIRED),
-        "route": (_choice({"direct": kernel_direct, "cd": kernel_cd}), "cd")}),
+        "route": (_choice("direct", "cd"), "cd")}),
     "intensity": (_run_intensity, "one- or two-point zero intensity", {
         "alphas": (str, None), "n": (_integer, None),
         "z": (_complex, _REQUIRED), "w": (_complex, None),
@@ -327,12 +344,7 @@ _COMMANDS = {
         k: v for k, v in _ENSEMBLE.items() if k != "n"}),
     "variance-limit": (_run_variance_limit, "limiting count variance", {
         "s": (_real, _REQUIRED), "t": (_real, _REQUIRED),
-        "method": (_choice({
-            "closed": lambda c: var_limit_closed(c["s"], c["t"]),
-            "series": lambda c: var_limit_series(c["s"], c["t"],
-                                                 tol=c["tol"]),
-            "quadrature": lambda c: var_limit_quadrature(
-                c["s"], c["t"], target=c["target"])}), "closed"),
+        "method": (_choice("closed", "series", "quadrature"), "closed"),
         "tol": (_real, 1e-12), "target": (_real, 1e-8)}),
 }
 

@@ -36,7 +36,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import multiprocessing as _mp
 
@@ -142,6 +142,9 @@ class EnsembleStats:
     # None when no helper ran
     blocks_claimed: Tuple[int, ...] = ()
     start_method: str = None
+    # each of those processes' peak resident set size in MB when its drain
+    # ended, in the same order; None where the platform has no `resource`
+    peak_rss_mb: Tuple[Optional[float], ...] = ()
 
     @property
     def processes(self) -> int:
@@ -212,6 +215,18 @@ def _drain(jobs: list, next_job) -> dict:
     return done
 
 
+def _peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MB (2**20 bytes),
+    or None without the `resource` module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB on Linux
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 _shared_index = None  # a helper process's handle on the parent's job index
 
 
@@ -220,13 +235,15 @@ def _helper_init(index) -> None:
     _shared_index = index
 
 
-def _helper_drain(jobs: list) -> dict:
-    return _drain(jobs, functools.partial(_claim, _shared_index))
+def _helper_drain(jobs: list) -> tuple:
+    """(_drain from the shared index, _peak_rss_mb at its end)."""
+    return _drain(jobs, functools.partial(_claim, _shared_index)), _peak_rss_mb()
 
 
 def _solve(jobs: list, workers: int) -> tuple:
     """(_block_counts of every job in job order, the number of jobs each
-    process that ran drained, this one first, the helpers' start method or
+    process that ran drained, this one first, each one's _peak_rss_mb when
+    its drain ended, in the same order, and the helpers' start method or
     None).
 
     This process drains the queue next to min(workers, CPUs) - 1 helpers,
@@ -247,6 +264,7 @@ def _solve(jobs: list, workers: int) -> tuple:
     method = None
     if helpers == 0:
         drained = [_drain(jobs, itertools.count().__next__)]
+        peaks = [_peak_rss_mb()]
     else:
         method = "fork" if sys.platform.startswith("linux") else "spawn"
         ctx = _mp.get_context(method)
@@ -257,10 +275,14 @@ def _solve(jobs: list, workers: int) -> tuple:
             futures = [pool.submit(_helper_drain, jobs)
                        for _ in range(helpers)]
             drained = [_drain(jobs, functools.partial(_claim, index))]
-            drained += [future.result() for future in futures]
+            peaks = [_peak_rss_mb()]
+            for future in futures:
+                part, peak = future.result()
+                drained.append(part)
+                peaks.append(peak)
     done = {i: result for part in drained for i, result in part.items()}
     return ([done[i] for i in range(len(jobs))],
-            [len(part) for part in drained], method)
+            [len(part) for part in drained], peaks, method)
 
 
 def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
@@ -270,9 +292,10 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     Identical (seed, config) give bit-identical counts for any `workers`.
     """
     _check_sizes(trials, workers)
-    done, claimed, method = _solve([(basis, model, region, seed, lo, hi)
-                                    for lo, hi in _blocks(trials)], workers)
-    return _stats(basis, region, trials, seed, done, claimed, method)
+    done, claimed, peaks, method = _solve(
+        [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)],
+        workers)
+    return _stats(basis, region, trials, seed, done, claimed, peaks, method)
 
 
 def _check_sizes(trials: int, workers: int) -> None:
@@ -282,7 +305,7 @@ def _check_sizes(trials: int, workers: int) -> None:
         raise UsageError("workers must be >= 1")
 
 
-def _stats(basis, region, trials, seed, done, blocks_claimed,
+def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
            start_method) -> EnsembleStats:
     """The ensemble of one basis from its blocks' results, in trial order."""
     raw = [c for counts, _ in done for c in counts]
@@ -322,7 +345,8 @@ def _stats(basis, region, trials, seed, done, blocks_claimed,
         excluded_trials=excluded_trials,
         exclusion_reasons=tuple(c for _, c in excluded), audited=audited,
         audit_flagged=flagged, worst_residual=worst,
-        blocks_claimed=tuple(blocks_claimed), start_method=start_method)
+        blocks_claimed=tuple(blocks_claimed), start_method=start_method,
+        peak_rss_mb=tuple(peak_rss_mb))
 
 
 @dataclass
@@ -358,15 +382,15 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     bases = [basis_family.build(n) for n in ns]
     blocks = _blocks(trials)
     # one queue for every degree, largest first: its blocks take longest
-    done, claimed, method = _solve([(basis, model, region, seed, lo, hi)
-                                    for basis in reversed(bases)
-                                    for lo, hi in blocks], workers)
+    done, claimed, peaks, method = _solve(
+        [(basis, model, region, seed, lo, hi) for basis in reversed(bases)
+         for lo, hi in blocks], workers)
     per_degree = [done[at:at + len(blocks)]
                   for at in range(0, len(done), len(blocks))][::-1]
     rows = []
     for n, basis, blocks_done in zip(ns, bases, per_degree):
         stats = _stats(basis, region, trials, seed, blocks_done, claimed,
-                       method)
+                       peaks, method)
         dev = float(np.mean(np.abs(stats.counts / n - frac)))
         eps_n = float(regularity_report(basis).epsilons[-1])
         env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0

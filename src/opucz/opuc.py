@@ -45,10 +45,13 @@ _PROBES = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
 
 
 def _check_alphas(alphas) -> np.ndarray:
+    """alphas as complex, refused unless each has modulus < 1 (NaN has no
+    modulus, and is refused too)."""
     a = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
-    if a.size and np.max(np.abs(a)) >= 1.0:
-        j = int(np.argmax(np.abs(a) >= 1.0))
-        raise InvalidVerblunsky(f"|alpha_{j}| = {abs(a[j]):.6g} >= 1")
+    bad = ~(np.abs(a) < 1.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise InvalidVerblunsky(f"|alpha_{j}| = {abs(a[j]):.6g} is not < 1")
     return a
 
 
@@ -407,18 +410,23 @@ class AlphaFamily:
 
 
 def _parse_scalar(token: str, what: str) -> float:
-    """Float literal, optionally using 'pi' (pi, 2pi, pi/2, 0.5pi...)."""
+    """Finite float literal, optionally using 'pi' (pi, 2pi, pi/2, 0.5pi...);
+    nan and inf are refused."""
     t = token.strip().lower()
     try:
         if t in ("pi", "π"):
-            return math.pi
-        if t.endswith("pi"):
-            return float(t[:-2] or "1") * math.pi
-        if t.startswith("pi/"):
-            return math.pi / float(t[3:])
-        return float(t)
-    except ValueError:
+            x = math.pi
+        elif t.endswith("pi"):
+            x = float(t[:-2] or "1") * math.pi
+        elif t.startswith("pi/"):
+            x = math.pi / float(t[3:])
+        else:
+            x = float(t)
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"{what}: not a number: {token!r}") from None
+    if not math.isfinite(x):
+        raise UsageError(f"{what}: not a finite number: {token!r}")
+    return x
 
 
 def alpha_family(spec: str) -> AlphaFamily:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     QuadratureNotConverged,
@@ -124,6 +123,10 @@ def _row_sums(x: np.ndarray, cos: np.ndarray) -> np.ndarray:
 def var_limit_quadrature(s: float, t: float,
                          target: float = 1e-8) -> VarianceResult:
     """Quadrature of the limiting intensities, refined to `target`."""
+    # numpy.polynomial is imported here, where the radial rule is built,
+    # not by every process that imports this module
+    from numpy.polynomial.legendre import leggauss
+
     region = _check_annulus(s, t)
     if target <= 0:
         raise UsageError("target must be positive")

@@ -129,9 +129,11 @@ def test_simulate_artifacts_and_rerun(tmp_path, capsys):
     assert 0 < summary["worst_residual"] <= 1e-8  # no Newton-ground roots
     timing = summary["timing"]
     assert list(timing) == ["elapsed_seconds", "processes", "start_method",
-                            "blocks_claimed"]
+                            "blocks_claimed", "peak_rss_mb"]
     assert 1 <= timing["processes"] <= summary["config"]["threads"]
     assert len(timing["blocks_claimed"]) == timing["processes"]
+    assert len(timing["peak_rss_mb"]) == timing["processes"]
+    assert all(mb > 1 for mb in timing["peak_rss_mb"])  # numpy alone is more
     assert sum(timing["blocks_claimed"]) == len(mc._blocks(40))
     assert timing["start_method"] == (
         None if timing["processes"] == 1 else
@@ -228,8 +230,9 @@ def test_convergence_artifacts(tmp_path, capsys):
     assert list(summary)[-2:] == ["rows", "timing"]
     timing = summary["timing"]
     assert list(timing) == ["elapsed_seconds", "processes", "start_method",
-                            "blocks_claimed"]
+                            "blocks_claimed", "peak_rss_mb"]
     assert len(timing["blocks_claimed"]) == timing["processes"]
+    assert len(timing["peak_rss_mb"]) == timing["processes"]
     # one queue for the study: two degrees of two blocks of 20 trials
     assert sum(timing["blocks_claimed"]) == 2 * len(mc._blocks(40))
 
@@ -249,6 +252,9 @@ def test_pooled_convergence_prints_its_csv(tmp_path, capsys, monkeypatch):
     timing = json.loads((tmp_path / "two.summary.json").read_text())["timing"]
     assert timing["processes"] == 2
     assert sum(timing["blocks_claimed"]) == 2 * len(mc._blocks(70))
+    # the helper's own peak, read in the helper: a number for each process
+    assert len(timing["peak_rss_mb"]) == 2
+    assert all(mb > 1 for mb in timing["peak_rss_mb"])
     code, _, err = run(capsys, *argv, "--threads", "1", "--out",
                        str(tmp_path / "one"))
     assert code == 0, err
@@ -289,6 +295,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "usage error" in err and piece in err, (argv, err)
+
+
+def test_non_finite_family_parameters_exit_2(tmp_path, capsys):
+    # NaN and infinity are refused as family parameters and in coefficient
+    # files, before any basis is built or any trial is run
+    path = tmp_path / "nan.txt"
+    path.write_text("nan 0\n0.1 0\n0.2 0\n0.3 0\n")
+    for alphas in ("constant:nan", "constant:inf", "decay:nan:1",
+                   "decay:1:nan", "weight:jacobi:nan:1", "weight:jacobi:pi:nan",
+                   f"file:{path}"):
+        code, out, err = run(capsys, "basis", "--alphas", alphas, "--n", "3")
+        assert (code, out) == (2, ""), alphas
+        assert "usage error" in err, (alphas, err)
+    code, _, err = run(capsys, "simulate", "--alphas", f"file:{path}", "--n",
+                       "4", "--region", "annulus:0:0.5", "--trials", "4",
+                       "--threads", "1", "--out", str(tmp_path / "s"))
+    assert code == 2 and "usage error" in err
+    assert not (tmp_path / "s.summary.json").exists()
 
 
 def test_unknown_flag_and_subcommand_exit_2(capsys):

@@ -1,6 +1,11 @@
 """The package imports only the standard library, numpy and itself;
-scipy, mpmath and pytest-benchmark belong in tests and benches."""
+scipy, mpmath and pytest-benchmark belong in tests and benches.  An
+ensemble run, pool helpers included, loads none of the modules it does not
+execute."""
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +30,63 @@ def test_package_imports_stdlib_numpy_and_itself():
                for name in _imports(path)
                if name.partition(".")[0] not in ALLOWED}
     assert not outside
+
+
+# modules that no ensemble run executes: numpy.ma came from np.unique in the
+# Aberth loop, numpy.polynomial from leggauss, the rest from cli's imports
+NOT_LOADED = ("numpy.ma", "numpy.polynomial", "opucz.intensity",
+              "opucz.kernel", "opucz.varlim")
+
+
+def _imported(code: str, tmp_path) -> list:
+    """Every module that `python -X importtime -c code` imports, once per
+    import and process: a forked pool helper writes its own lines."""
+    src = str(Path(list(opucz.__path__)[0]).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("OPUCZ_THREADS", None)
+    r = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    return [line.rpartition("|")[2].strip() for line in r.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_pooled_convergence_loads_only_what_it_runs(tmp_path):
+    # two processes on any machine: the parent and one forked helper, each
+    # of which reads its peak memory through the resource module
+    names = _imported(
+        "import sys\n"
+        "import opucz.mc as mc\n"
+        "mc._cpus = lambda: 2\n"
+        "from opucz.cli import main\n"
+        "sys.exit(main(['convergence', '--alphas', 'weight:jacobi:pi:1',\n"
+        "    '--region', 'sector:0.5:0:pi/2', '--ns', '25,50',\n"
+        "    '--trials', '70', '--seed', '3', '--threads', '2',\n"
+        "    '--out', 'conv']))\n", tmp_path)
+    timing = json.loads((tmp_path / "conv.summary.json").read_text())["timing"]
+    assert timing["processes"] == 2
+    assert not set(NOT_LOADED) & set(names)
+    assert names.count("resource") == 2  # the helper's imports are traced
+
+
+def test_one_worker_simulate_loads_only_what_it_runs(tmp_path):
+    names = _imported(
+        "import sys\n"
+        "from opucz.cli import main\n"
+        "sys.exit(main(['simulate', '--alphas', 'decay:1:1', '--n', '30',\n"
+        "    '--region', 'annulus:0.3:0.6', '--trials', '101',\n"
+        "    '--threads', '1', '--out', 'sim']))\n", tmp_path)
+    assert "opucz.mc" in names
+    assert not set(NOT_LOADED) & set(names)
+
+
+def test_audit_rule_is_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    from opucz import zerocount
+    nodes, weights = leggauss(12)
+    for got, want in ((zerocount._GL_NODES, nodes),
+                      (zerocount._GL_WEIGHTS, weights)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

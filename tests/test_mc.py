@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import sys
+import types
 from concurrent.futures import Future
 
 import numpy as np
@@ -349,7 +350,7 @@ def _fake_pool(monkeypatch, helpers_work: bool) -> dict:
                 initializer(*initargs)
                 future.set_result(fn(*args))
             else:
-                future.set_result({})
+                future.set_result(({}, None))  # no job, and no peak read
             return future
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", Fake)
@@ -466,7 +467,7 @@ def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
     args = (alpha_family("zero").build(40), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 24 * mc.BLOCK, 2)
     four = run_ensemble(*args, workers=4)
-    claimed = [i for done in solved + [f.result(timeout=60) for f in futures]
+    claimed = [i for done in solved + [f.result(timeout=60)[0] for f in futures]
                for i in done]
     assert sorted(claimed) == list(range(24))
     assert four.processes == 4 and len(futures) == 3
@@ -493,7 +494,7 @@ def test_helpers_are_forked_from_this_process(monkeypatch):
         return os.getpid()
 
     monkeypatch.setattr(mc, "_block_counts", tagged)
-    pids, claimed, method = mc._solve([None, None], workers=2)
+    pids, claimed, _, method = mc._solve([None, None], workers=2)
     assert method == "fork" and len(claimed) == 2 and sum(claimed) == 2
     assert helper_ran.is_set()
     assert all(isinstance(pid, int) for pid in pids)
@@ -515,6 +516,26 @@ def test_buffered_output_is_written_once(capfd, monkeypatch):
     out.flush()
     assert stats.processes == 2
     assert capfd.readouterr().out.count("before the pool") == 1
+
+
+def test_peak_rss_in_mb_or_none(monkeypatch):
+    # ru_maxrss is in bytes on macOS and in KiB on Linux; without the
+    # resource module (Windows) the peak is not known
+    class Usage:
+        ru_maxrss = 3 * 2 ** 20
+
+    fake = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: Usage)
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert mc._peak_rss_mb() == 3.0
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert mc._peak_rss_mb() == 3.0 * 2 ** 10
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert mc._peak_rss_mb() is None
+    stats = run_ensemble(alpha_family("zero").build(10),
+                         coeff_model("gaussian"), Region.annulus(0.0, 0.6),
+                         8, 3, workers=1)
+    assert stats.peak_rss_mb == (None,)
 
 
 def test_audit_mismatch_fails_the_ensemble(monkeypatch):

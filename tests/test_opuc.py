@@ -268,6 +268,22 @@ def test_invalid_alpha_rejected():
         szego_build([1.2], 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.1, np.nan), np.inf])
+def test_non_finite_alpha_rejected(bad):
+    # NaN has no modulus below 1: it is refused like |alpha| >= 1
+    with pytest.raises(InvalidVerblunsky, match="alpha_1"):
+        szego_build([0.2, bad, 0.1], 3)
+
+
+@pytest.mark.parametrize("spec", ["constant:nan", "constant:-inf",
+                                  "decay:nan:1", "decay:1:nan", "decay:inf:1",
+                                  "weight:jacobi:nan:1", "weight:jacobi:pi:nan",
+                                  "weight:jacobi:pi/0:1"])
+def test_non_finite_family_parameters_rejected(spec):
+    with pytest.raises(UsageError, match="not a"):
+        alpha_family(spec)
+
+
 def test_too_few_alphas_rejected():
     with pytest.raises(InsufficientCoefficients):
         szego_build([0.1, 0.2], 5)
@@ -455,6 +471,10 @@ def test_alpha_file_bad_lines(tmp_path):
     path.write_text("1.5 0.0\n")
     with pytest.raises(InvalidVerblunsky):
         read_alpha_file(str(path))
+    for line in ("nan 0\n", "0 nan\n", "inf 0\n"):
+        path.write_text("0.5 0.0\n" + line)
+        with pytest.raises(InvalidVerblunsky, match="alpha_1"):
+            read_alpha_file(str(path))
 
 
 def test_pi_literals_in_grammar():
