@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (AuditMismatch, BoundaryProximity,
                      ExclusionBudgetExceeded, UsageError)
+# regularity_report is not called here; perfbench traces it under this name
 from .opuc import AlphaFamily, OpucBasis, regularity_report
 from .zerocount import (
     Region,
@@ -392,7 +393,7 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
         stats = _stats(basis, region, trials, seed, blocks_done, claimed,
                        peaks, method)
         dev = float(np.mean(np.abs(stats.counts / n - frac)))
-        eps_n = float(regularity_report(basis).epsilons[-1])
+        eps_n = math.log(basis.kappas[n]) / n
         env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0
         env2 = max(env1, eps_n ** 0.25 if eps_n > 0 else 0.0)
         rows.append(ConvergenceRow(

@@ -16,12 +16,13 @@ coefficients: the recursion is run on values at the points where they are
 needed, never on monomial coefficients, which for constant families reach
 1e21 by degree 100 and lose every digit to cancellation.  Bases can also be
 produced from a weight on [0, 2pi): trigonometric moments are computed by
-adaptive trapezoid quadrature and the coefficients are read off a
+Gauss-Jacobi panel quadrature and the coefficients are read off a
 Levinson-style recursion on the monic polynomials.  alpha identically zero
 reproduces the monomials z^k.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,7 +39,8 @@ from .errors import (
 
 LEVINSON_PIVOT_FLOOR = 1e-13
 MOMENT_TOL = 1e-10
-MOMENT_NODE_CAP = 2 ** 22
+MOMENT_PANEL_PHASE = 16.0
+MOMENT_RULES = (16, 24)  # Gauss points a panel: the moments, then their check
 
 # fixed probe ring |z| = 1/2 used by the regularity report
 _PROBES = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
@@ -291,40 +293,115 @@ class WeightSpec:
         raise UsageError(f"unknown weight kind {self.kind!r}")
 
 
-def moments_from_weight(w: WeightSpec, count: int, nodes: int = 1024) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(q: int, a: float = 0.0, b: float = 0.0):
+    """Nodes and weights, read-only and cached, of the q-point Gauss rule
+    for (1 - x)^a (1 + x)^b on [-1, 1]: exact to degree 2q - 1.
+
+    Golub & Welsch: the nodes are the eigenvalues of the weight's Jacobi
+    matrix, taken one Newton step further (p_q' by Christoffel-Darboux);
+    each weight is the Christoffel number 1 / sum_{k<q} p_k(x)^2 of the
+    orthonormal p_k at its node, scaled to the mass 2^(a+b+1) B(a+1, b+1).
+    """
+    if q < 1 or not (a > -1.0 and b > -1.0):
+        raise UsageError(f"no {q}-point Gauss-Jacobi rule for a={a}, b={b}")
+    if a > b:  # the mirror image of the rule for (b, a)
+        x, w = gauss_jacobi(q, b, a)
+        return _read_only(-x[::-1], w[::-1])
+    s, m = 2.0 * np.arange(q) + a + b, np.arange(1.0, q + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at k = 0
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        off = np.sqrt(4.0 * m * (m + a) * (m + b) * (m + a + b)
+                      / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0)))
+    diag[0] = (b - a) / (a + b + 2.0)
+    off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                       / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
+    steps = list(zip(diag.tolist(), off.tolist(), [0.0] + off[:-1].tolist()))
+
+    def recur(x):  # p_{q-1}(x), p_q(x) and sum_{k<q} p_k(x)^2, with p_0 = 1
+        prev, cur, total = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+        for d, o, o_prev in steps:
+            total += cur * cur
+            prev, cur = cur, ((x - d) * cur - o_prev * prev) / o
+        return prev, cur, total
+
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1), UPLO="U")
+    prev, cur, total = recur(x)
+    x = x - cur * off[-1] * prev / total
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+    w = 1.0 / recur(x)[2]
+    if a == b:
+        w = 0.5 * (w + w[::-1])
+    mass = 2.0 ** (a + b + 1.0) * math.exp(
+        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return _read_only(x, w * (mass / w.sum()))
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def moments_from_weight(w: WeightSpec, count: int) -> np.ndarray:
     """Trigonometric moments c_k = int exp(-ik theta) w(theta) dtheta, k=0..count.
 
-    Normalized so c_0 = 1.  The periodic trapezoid rule (a single FFT per
-    refinement level) is doubled until no returned moment moves by more than
-    1e-10; refinement past the node cap raises QuadratureNotConverged.  Node
-    0 takes the mean of w(0) and w(2 pi): a jacobi weight whose angle is not
-    pi jumps there, and the one-sided value alone would leave an O(h) error.
+    Normalized so c_0 = 1.  [0, 2 pi) is cut at the weight's angles into
+    pieces, and each piece into equal panels on which exp(-ik theta),
+    k <= count, turns by at most MOMENT_PANEL_PHASE radians.  A panel that
+    ends at an angle theta_j takes the Gauss-Jacobi rule for the power
+    |theta - theta_j|^e_j there, so any e_j > 0 is integrated exactly; the
+    others take Gauss-Legendre.  The moments of the two rule sizes in
+    MOMENT_RULES must agree within MOMENT_TOL, or QuadratureNotConverged is
+    raised: two angles closer than a panel, say, leave a kink inside one.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
-    # need well over 2*count samples before the DFT rows stop aliasing
-    floor = max(16, nodes, 4 * (count + 1))
-    m = 1 << (floor - 1).bit_length()
-    seam = w.evaluate(2 * np.pi)
+    # sorted(set()): np.unique would import numpy.ma
+    cuts = sorted({0.0, 2 * np.pi, *w.thetas.tolist()})
+    ends = [float(w.exponents[w.thetas == c].sum()) for c in cuts]
 
-    def level(nn: int) -> np.ndarray:
-        th = 2 * np.pi * np.arange(nn) / nn
-        vals = w.evaluate(th)
-        vals[0] = 0.5 * (vals[0] + seam)
-        # c_k = (2 pi / nn) * sum w(th_m) exp(-i k th_m): rows of the DFT
-        spec = np.fft.fft(vals) * (2 * np.pi / nn)
-        return spec[: count + 1] / spec[0].real
+    def panels(centres, half, lo, hi, a, b):
+        # each rule's sum over the panels centres +- half, the power
+        # (hi - theta)^a (theta - lo)^b taken into the rule
+        outer = _phases(centres, count)
+        for q in MOMENT_RULES:
+            x, g = gauss_jacobi(q, a, b)
+            th = centres[:, None] + half * x
+            f = w.evaluate(th) / ((hi - th) ** a * (th - lo) ** b)
+            # a real matrix times the complex one's interleaved float view,
+            # by einsum's loops: a BLAS left multithreaded took 16 ms a call
+            local = _phases(half * x, count).view(np.float64)
+            inner = np.einsum("pm,mk->pk", f * (g * half ** (1.0 + a + b)),
+                              local).view(np.complex128)
+            yield np.sum(outer * inner, axis=0)
 
-    prev = level(m)
-    while True:
-        m *= 2
-        if m > MOMENT_NODE_CAP:
-            raise QuadratureNotConverged(
-                f"moment refinement stalled above {MOMENT_NODE_CAP} nodes")
-        cur = level(m)
-        if np.max(np.abs(cur - prev)) < MOMENT_TOL:
-            return cur
-        prev = cur
+    c = np.zeros((len(MOMENT_RULES), count + 1), dtype=np.complex128)
+    for lo, hi, b, a in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:]):
+        n = math.ceil((hi - lo) * (count + 1) / MOMENT_PANEL_PHASE)
+        half = (hi - lo) / (2 * n)
+        centres = lo + half * np.arange(1, 2 * n, 2)
+        groups = ([(centres, a, b)] if n == 1 else [(centres[:1], 0.0, b),
+                  (centres[1:-1], 0.0, 0.0), (centres[-1:], a, 0.0)])
+        for cs, ea, eb in groups:
+            c += list(panels(cs, half, lo, hi, ea, eb))
+    coarse, fine = c / c[:, :1].real
+    if not np.max(np.abs(fine - coarse)) < MOMENT_TOL:
+        raise QuadratureNotConverged(
+            f"{MOMENT_RULES[0]}- and {MOMENT_RULES[1]}-point panel rules "
+            f"differ by {np.max(np.abs(fine - coarse)):.3g} in the moments")
+    return fine
+
+
+def _phases(t, count: int) -> np.ndarray:
+    """exp(-i k t), k = 0..count, one row per t: products of two of about
+    sqrt(count) exponentials a row, each within a few ulps."""
+    big = math.isqrt(count) + 1
+    hi = np.exp(-1j * np.outer(t, big * np.arange(count // big + 1)))
+    lo = np.exp(-1j * np.outer(t, np.arange(big)))
+    prod = hi[:, :, None] * lo[:, None, :]
+    return prod.reshape(t.size, hi.shape[1] * big)[:, :count + 1]
 
 
 def levinson_verblunsky(moments) -> np.ndarray:
@@ -371,7 +448,12 @@ def levinson_verblunsky(moments) -> np.ndarray:
 def read_alpha_file(path: str) -> np.ndarray:
     """Read coefficients from text: one "re im" pair per line, '#' comments."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read coefficient file {path}: "
+                         f"{exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -30,6 +30,7 @@ from .errors import (
     SeriesNotConverged,
     UsageError,
 )
+from .opuc import gauss_jacobi
 from .zerocount import Region
 
 _SERIES_CAP = 2_000_000
@@ -123,10 +124,6 @@ def _row_sums(x: np.ndarray, cos: np.ndarray) -> np.ndarray:
 def var_limit_quadrature(s: float, t: float,
                          target: float = 1e-8) -> VarianceResult:
     """Quadrature of the limiting intensities, refined to `target`."""
-    # numpy.polynomial is imported here, where the radial rule is built,
-    # not by every process that imports this module
-    from numpy.polynomial.legendre import leggauss
-
     region = _check_annulus(s, t)
     if target <= 0:
         raise UsageError("target must be positive")
@@ -135,7 +132,7 @@ def var_limit_quadrature(s: float, t: float,
 
     def stable_in_angle(nr: int) -> float:
         # tensor polar rule: Gauss-Legendre radial x na equispaced angular
-        x, w = leggauss(nr)
+        x, w = gauss_jacobi(nr)
         r = 0.5 * (t - s) * x + 0.5 * (t + s)
         wr = 0.5 * (t - s) * w
 

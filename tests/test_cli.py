@@ -315,6 +315,26 @@ def test_non_finite_family_parameters_exit_2(tmp_path, capsys):
     assert not (tmp_path / "s.summary.json").exists()
 
 
+def test_unreadable_coefficient_file_exits_2(tmp_path, capsys):
+    # a missing file is a usage error that names the path, not a traceback
+    missing = tmp_path / "absent.txt"
+    for argv in (("basis", "--alphas", f"file:{missing}", "--n", "3"),
+                 ("simulate", "--alphas", f"file:{missing}", "--n", "3",
+                  "--region", "annulus:0:0.5", "--trials", "4",
+                  "--threads", "1", "--out", str(tmp_path / "s"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "usage error" in err and str(missing) in err, err
+    assert not (tmp_path / "s.summary.json").exists()
+
+
+def test_jacobi_exponent_below_one_exits_0(capsys):
+    code, out, err = run(capsys, "basis", "--alphas", "weight:jacobi:pi:0.5",
+                         "--n", "12")
+    assert code == 0, err
+    assert out.startswith("order 12\n")
+
+
 def test_unknown_flag_and_subcommand_exit_2(capsys):
     assert main(["variance-limit", "--nope", "1"]) == 2
     assert main(["frobnicate"]) == 2

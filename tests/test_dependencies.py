@@ -32,6 +32,32 @@ def test_package_imports_stdlib_numpy_and_itself():
     assert not outside
 
 
+def _polynomial_uses(path):
+    """Lines that import numpy.polynomial, or reach it as np.polynomial,
+    which numpy loads on first access."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "polynomial":
+            names = ["numpy.polynomial"]
+        else:
+            continue
+        if any(name.startswith("numpy.polynomial") for name in names):
+            yield node.lineno
+
+
+def test_package_never_uses_numpy_polynomial():
+    # its one Gauss rule, opuc.gauss_jacobi, is built in numpy's core
+    sources = sorted(path for root in opucz.__path__
+                     for path in Path(root).glob("**/*.py"))
+    assert sources
+    found = [(path.name, line) for path in sources
+             for line in _polynomial_uses(path)]
+    assert not found
+
+
 # modules that no ensemble run executes: numpy.ma came from np.unique in the
 # Aberth loop, numpy.polynomial from leggauss, the rest from cli's imports
 NOT_LOADED = ("numpy.ma", "numpy.polynomial", "opucz.intensity",

@@ -21,7 +21,7 @@ from opucz.mc import (
     sample_poly,
     trial_seed,
 )
-from opucz.opuc import alpha_family, eval_poly
+from opucz.opuc import alpha_family, eval_poly, regularity_report
 from opucz.zerocount import Region, count_in_region, roots
 
 QUARTER = Region.sector(0.5, 0.0, np.pi / 2)
@@ -239,12 +239,14 @@ def test_convergence_validations():
 
 
 def test_slow_decay_uses_eps_envelope():
-    # decay:1:0.25 keeps eps_n large, so the second envelope must switch
-    rows = convergence_study(alpha_family("decay:1:0.25"),
-                             coeff_model("gaussian"), QUARTER,
+    # decay:1:0.25 keeps eps_n large, so the second envelope must switch;
+    # eps_n is the regularity report's last epsilon, to the bit
+    fam = alpha_family("decay:1:0.25")
+    rows = convergence_study(fam, coeff_model("gaussian"), QUARTER,
                              [25, 50], trials=2, seed=1)
     for r in rows:
-        assert r.envelope_eps14 > r.envelope_sqrtlogn
+        eps_n = regularity_report(fam.build(r.n)).epsilons[-1]
+        assert r.envelope_eps14 == eps_n ** 0.25 > r.envelope_sqrtlogn
 
 
 def test_quaternary_and_disk_models_run():

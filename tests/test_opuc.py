@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from opucz.errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
     NotPositiveDefinite,
+    QuadratureNotConverged,
     UsageError,
 )
 from opucz.opuc import (
@@ -14,6 +17,7 @@ from opucz.opuc import (
     WeightSpec,
     alpha_family,
     eval_poly,
+    gauss_jacobi,
     levinson_verblunsky,
     moments_from_weight,
     read_alpha_file,
@@ -348,7 +352,7 @@ def _moments_oracle(w, count, m=400):
     """moments_from_weight by Gauss-Legendre on each smooth piece of
     [0, 2 pi), split at the weight's angles, where |theta - theta_j|^e
     has its kink and the weight's seam at 0 = 2 pi its jump."""
-    x, g = np.polynomial.legendre.leggauss(m)
+    x, g = leggauss(m)
     edges = np.unique(np.concatenate(([0.0, 2 * np.pi], w.thetas)))
     th = np.concatenate([lo + (hi - lo) * (x + 1) / 2
                          for lo, hi in zip(edges[:-1], edges[1:])])
@@ -361,12 +365,125 @@ def _moments_oracle(w, count, m=400):
 @pytest.mark.parametrize("theta,e", [(1.0, 1.0), (0.5, 2.0), (4.0, 1.5),
                                      (1.0, 3.0), (math.pi, 1.0), (math.pi, 2.0)])
 def test_jacobi_moments_against_piecewise_gauss_oracle(theta, e):
-    # a jacobi weight whose angle is not pi jumps at the seam 0 = 2 pi:
-    # node 0 takes the mean of both sides, and the moments converge to
-    # within half the refinement tolerance of the oracle
+    # the power is singular only at a piece's end, where 400 Gauss-Legendre
+    # points a piece reach roundoff for these exponents, all >= 1
     w = WeightSpec.generalized_jacobi([theta], [e])
     got = moments_from_weight(w, 12)
-    assert np.max(np.abs(got - _moments_oracle(w, 12))) < 5e-11
+    assert np.max(np.abs(got - _moments_oracle(w, 12))) < 1e-13
+
+
+def test_jacobi_pi_moments_match_closed_form():
+    # |theta - pi|: int |theta - pi| exp(-ik theta) = 2 (1 - (-1)^k) / k^2,
+    # and c_0 = pi^2
+    c = moments_from_weight(WeightSpec.generalized_jacobi([math.pi], [1.0]), 1600)
+    k = np.arange(1, 1601)
+    want = 2 * (1 - (-1.0) ** k) / (math.pi ** 2 * k ** 2)
+    assert abs(c[0] - 1) < 1e-15
+    assert np.max(np.abs(c[1:] - want)) < 1e-13
+
+
+def _mp_moment(theta, e, k):
+    """int_0^2pi |t - theta|^e exp(-ik t) dt in mpmath, tanh-sinh on pieces
+    that end at theta, where the power is singular, and are short enough
+    for the oscillation."""
+    theta = mpmath.mpf(theta)
+    edges = sorted({mpmath.mpf(0), theta, 2 * mpmath.pi})
+    pts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = int(max(1, mpmath.ceil((hi - lo) * (k + 1) / 2)))
+        pts += [lo + (hi - lo) * j / m for j in range(m)]
+    pts.append(2 * mpmath.pi)
+    return mpmath.quad(lambda t: abs(t - theta) ** e * mpmath.expj(-k * t), pts)
+
+
+@pytest.mark.parametrize("theta,e", [(math.pi, 0.5), (math.pi, 0.25),
+                                     (1.0, 1.0), (1.0, 2.0), (4.0, 1.5)])
+def test_jacobi_moments_against_mpmath(theta, e):
+    # exponents below 1 too: each panel at the angle takes the Gauss-Jacobi
+    # rule with that exponent
+    c = moments_from_weight(WeightSpec.generalized_jacobi([theta], [e]), 40)
+    with mpmath.workdps(30):
+        c0 = _mp_moment(theta, e, 0)
+        for k in (1, 2, 7, 40):
+            want = complex(_mp_moment(theta, e, k) / c0)
+            assert abs(c[k] - want) < 1e-13, k
+
+
+@pytest.mark.parametrize("spec", [f"weight:jacobi:{theta}:{e}"
+                                  for theta in ("pi", "1", "4")
+                                  for e in ("0.5", "0.25")])
+def test_jacobi_exponent_below_one_builds(spec):
+    fam = alpha_family(spec)
+    for n in (12, 200, 800):
+        a = fam.alphas(n)
+        assert a.shape == (n,) and np.all(np.abs(a) < 1)
+
+
+def test_moments_refuse_a_kink_inside_a_panel():
+    # a second angle 1e-6 past the first puts |theta - 1|^0.5 just outside
+    # the next piece's first panel: the two panel rules disagree
+    w = WeightSpec.generalized_jacobi([1.0, 1.0 + 1e-6], [0.5, 0.5])
+    with pytest.raises(QuadratureNotConverged):
+        moments_from_weight(w, 12)
+
+
+def _beta_moment(j, a, b):
+    """int_{-1}^{1} x^j (1 - x)^a (1 + x)^b dx, exactly enough, in mpmath."""
+    with mpmath.workdps(50):
+        return float(mpmath.quad(lambda x: x ** j * (1 - x) ** a * (1 + x) ** b,
+                                 [-1, 0, 1]))
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.25, 0.0), (0.0, 0.5), (1.5, 2.0)])
+def test_gauss_jacobi_is_exact_to_degree_2q_minus_1(a, b):
+    for q in (1, 2, 5, 12):
+        x, w = gauss_jacobi(q, a, b)
+        assert x.shape == w.shape == (q,) and np.all(np.diff(x) > 0)
+        assert not (x.flags.writeable or w.flags.writeable)  # cached
+        for j in range(2 * q):
+            want = _beta_moment(j, a, b)
+            scale = float(np.sum(w * np.abs(x) ** j))
+            assert abs(np.sum(w * x ** j) - want) <= 4e-15 * scale, (q, j)
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    for q in (1, 2, 3, 12, 16, 31, 64, 100, 128, 256, 384):
+        x, w = gauss_jacobi(q)
+        want_x, want_w = leggauss(q)
+        assert np.max(np.abs(x - want_x)) <= 2.3e-16, q
+        if q <= 16:  # beyond, leggauss's own weights lose digits; see below
+            assert np.max(np.abs(w / want_w - 1)) < 1e-13, q
+
+
+@pytest.mark.parametrize("q", [31, 64, 384])
+def test_gauss_legendre_weights_against_mpmath(q):
+    # each weight is the Christoffel number 1 / sum_{k<q} p_k(x)^2 of the
+    # orthonormal Legendre polynomials at its node, and each node is within
+    # an ulp of a root of P_q.  leggauss's end weights are further off:
+    # 2.8e-13 (q = 31), 1.3e-12 (q = 64) and 3.9e-10 (q = 384) relative to
+    # the weight at the exact node, where these are within 7e-15, 7e-14 and
+    # 2e-12, the last being what an ulp of node moves an end weight by.
+    # Against the Christoffel number at the returned node they are within
+    # 5e-15, 2e-14 and 1.5e-13: the recursion's rounding, growing with q.
+    x, w = gauss_jacobi(q)
+    with mpmath.workdps(30):
+        for i in (0, 1, 2, 3, 5, q // 4, q // 2 - 1):
+            t = mpmath.mpf(x[i])
+            p0, p1, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0.5)
+            for k in range(1, q + 1):  # Legendre P_k
+                p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+                if k < q:
+                    total += (k + mpmath.mpf(0.5)) * p1 * p1
+            assert abs(w[i] * total - 1) < 2e-13, i
+            # P_q(x) / P_q'(x), with P_q' = q (x P_q - P_{q-1}) / (x^2 - 1)
+            step = p1 * (t * t - 1) / (q * (t * p1 - p0))
+            assert abs(step) <= 2.3e-16, i
+
+
+def test_gauss_jacobi_rejects_bad_arguments():
+    for q, a, b in ((0, 0.0, 0.0), (4, -1.0, 0.0), (4, 0.0, -2.0)):
+        with pytest.raises(UsageError):
+            gauss_jacobi(q, a, b)
 
 
 def test_levinson_lebesgue_roundtrip_exact():
