@@ -128,14 +128,14 @@ def _degrees(value) -> list:
 def _threads(value) -> int:
     """The worker count; the OPUCZ_THREADS environment variable wins."""
     env = os.environ.get("OPUCZ_THREADS")
-    if env is not None:
-        try:
-            value = _integer(env)
-        except ValueError as e:
-            raise UsageError(f"OPUCZ_THREADS: {e}") from None
-    k = _integer(value)
-    if k < 1:
-        raise ValueError(f"thread count must be >= 1, got {k}")
+    try:
+        k = _integer(value if env is None else env)
+        if k < 1:
+            raise ValueError(f"thread count must be >= 1, got {k}")
+    except ValueError as e:
+        if env is None:
+            raise
+        raise UsageError(f"OPUCZ_THREADS: {e}") from None
     return k
 
 
@@ -342,7 +342,8 @@ _COMMANDS = {
         k: v for k, v in _ENSEMBLE.items() if k != "ns"}),
     "convergence": (_run_convergence, "deviation-vs-degree study", {
         k: v for k, v in _ENSEMBLE.items() if k != "n"}),
-    "variance-limit": (_run_variance_limit, "limiting count variance", {
+    "variance-limit": (_run_variance_limit,
+                       "limiting count variance, complex Gaussian eta", {
         "s": (_real, _REQUIRED), "t": (_real, _REQUIRED),
         "method": (_choice("closed", "series", "quadrature"), "closed"),
         "tol": (_real, 1e-12), "target": (_real, 1e-8)}),

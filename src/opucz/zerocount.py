@@ -75,7 +75,7 @@ _GL_WEIGHTS = np.array([
 _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
-_CHUNK_POINTS = 2 ** 16  # complex pairwise terms in one chunk: 1 MB
+_CHUNK_POINTS = 2 ** 16  # pairwise terms per chunk: 1 MB complex, 0.5 MB real
 _MODEL_SPREAD = 1.0 / math.sqrt(_EPS)  # sample spread a monomial model may have
 
 
@@ -183,14 +183,13 @@ class ZeroSet:
         max(1, |z|) (STEP_ULPS): z is the double nearest a root that no
         double reaches.  This happens where P changes by a large relative
         amount within one ulp, as at the mass point z = 1 of constant
-        families with |alpha + 1/2| > 1/2, whose residuals there stay
-        between 1e-3 and 1.
+        families with |alpha + 1/2| > 1/2.
 
-    radii[i] is the radius of the Weierstrass inclusion disk about roots[i]:
-    the disks of the set are pairwise disjoint, so each holds exactly one
-    zero.  It is 0 for a set whose disks overlap even from the comrade
-    eigenvalues, as at an exact multiple zero: every root is certified, but
-    no disk is proven.
+    radii[i] is the radius of the Weierstrass inclusion disk about roots[i],
+    from one real table of the distances |z_i - z_j|: the disks of the set
+    are pairwise disjoint, so each holds exactly one zero.  It is 0 for a
+    set whose disks overlap even from the comrade eigenvalues, as at an
+    exact multiple zero: every root is certified, but no disk is proven.
     """
 
     roots: np.ndarray
@@ -470,36 +469,35 @@ def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
     W_i = P(z_i) / (lead prod_{j != i} (z_i - z_j)), lead = eta_n kappa_n,
     with |P| raised by its rounding bound.  The disks D(z_i, n |W_i|) hold
     every zero, and a connected union of k of them holds k zeros, so
-    pairwise disjoint disks hold one zero each.  Where |z_i| > 1, P comes
-    scaled by z_i^-n and the product is taken over 1 - z_j / z_i instead.
-    A product that over- or underflows gives an infinite radius.
+    pairwise disjoint disks hold one zero each.  Only moduli are read, so
+    the gap and the product both come from one real table of |z_i - z_j|.
+    Where |z_i| > 1, P comes scaled by z_i^-n, and so does the denominator:
+    each of its n factors, lead and the distances, by w_i = 1 / |z_i|.  A
+    product that over- or underflows gives an infinite radius.
     """
     n = z.shape[1]
-    out = np.abs(z) > 1.0
-    w = np.divide(1.0, z, out=np.ones_like(z), where=out)
-    zw = np.where(out, 1.0, z)
-    prod = np.empty_like(z)
+    az = np.abs(z)
+    w = np.divide(1.0, az, out=np.ones(z.shape), where=az > 1.0)
+    prod = np.empty(z.shape)
     gap = np.empty(z.shape)
     rows, pos = np.divmod(np.arange(z.size), n)
-    # the products and distances over j of a chunk of roots at a time, the
-    # product taken in j order from 1 as a loop over the columns j would
+    # the distances over j of a chunk of roots at a time, their product
+    # taken in j order from 1 as a loop over the columns j would
     zt, chunks = _chunks(z, z.size)
-    flat = [x.reshape(-1) for x in (z, w, zw, prod, gap)]
+    flat = [x.reshape(-1) for x in (z, w, prod, gap)]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for c in chunks:
-            zi, wi, zwi, prodi, gapi = (x[c] for x in flat)
+            zi, wi, prodi, gapi = (x[c] for x in flat)
             zj = zt.take(rows[c], axis=1)
             own = pos[c], np.arange(zj.shape[1])  # the terms j = i
-            f = np.multiply(zj, wi)
-            np.subtract(zwi, f, out=f)
-            f[own] = 1.0
-            np.multiply.reduce(f, axis=0, out=prodi, initial=1.0)
-            del f  # at most two chunk-sized arrays live at once
             d = np.abs(np.subtract(zi, zj, out=zj))
+            del zj  # the real table is all that stays live
             d[own] = np.inf
             np.minimum.reduce(d, axis=0, out=gapi)
-            del zj, d  # freed before the next chunk is gathered
-        den = np.abs(etas[:, -1:] * basis.kappas[-1]) * np.abs(prod) * np.abs(w)
+            d *= wi
+            d[own] = 1.0
+            np.multiply.reduce(d, axis=0, out=prodi, initial=1.0)
+        den = np.abs(etas[:, -1:] * basis.kappas[-1]) * prod * w
         ok = np.isfinite(den) & (den > 0)
         num = n * (np.abs(p) + _roundoff(n, scale))
         rad = np.where(ok, num / np.where(ok, den, 1.0), np.inf)
@@ -515,11 +513,11 @@ def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray, checked=None):
     derivatives (the check of _aberth): most roots of a monomial model
     already meet the rounding bound in the basis, and only the starts that
     do not enter the steps that carry P'.  A circle start almost never meets
-    it (none of 2,000 on constant:0.5 at n = 100), so _block_roots checks
-    only the rows that start from their model's roots.  Returns the roots
-    with their residuals and inclusion radii, whether each root settled on a
-    ground of ZeroSet, and whether each row is proven: every root so
-    certified and the row's disks pairwise disjoint.
+    it, so _block_roots checks only the rows that start from their model's
+    roots.  Returns the roots with their residuals and inclusion radii,
+    whether each root settled on a ground of ZeroSet, and whether each row
+    is proven: every root so certified and the row's disks pairwise
+    disjoint.
     """
     z, p, dp, scale, settled = _aberth(
         functools.partial(eval_poly, basis, etas, derivs=True), z0,

@@ -362,12 +362,14 @@ def test_audit_mismatch_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_threads_env(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("OPUCZ_THREADS", "many")
-    code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "5",
-                       "--region", "annulus:0:0.5", "--trials", "4",
-                       "--out", str(tmp_path / "x"))
-    assert code == 2
-    assert "OPUCZ_THREADS" in err
+    # a count below 1 names the variable too, not the flag it overrides
+    for env in ("many", "0", "-1"):
+        monkeypatch.setenv("OPUCZ_THREADS", env)
+        code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "5",
+                           "--region", "annulus:0:0.5", "--trials", "4",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "OPUCZ_THREADS" in err and "--threads" not in err
 
 
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):

@@ -260,6 +260,18 @@ def test_quaternary_and_disk_models_run():
         assert np.array_equal(stats.counts, rerun.counts)
 
 
+def test_quaternary_zero_family_has_no_zero_in_half_disk():
+    # phi_k = z^k and |eta_k| = 1: on |z| = 1/2, |eta_0| = 1 exceeds
+    # sum_{k >= 1} |eta_k z^k| = 1 - 2^-n, so by Rouche no zero lies in
+    # |z| <= 1/2 -- an exact count for every trial, roots and audit alike
+    stats = run_ensemble(alpha_family("zero").build(100),
+                         coeff_model("quaternary"), Region.annulus(0.0, 0.5),
+                         trials=300, seed=42)
+    assert stats.excluded == 0 and stats.counts.size == 300
+    assert not stats.counts.any()
+    assert stats.audited > 0 and stats.audit_flagged == 0
+
+
 def test_blocks_depend_on_trials_alone():
     for trials in (2, mc.BLOCK, mc.BLOCK + 1, 5 * mc.BLOCK - 3):
         blocks = mc._blocks(trials)

@@ -393,29 +393,50 @@ def _aberth_oracle(evaluate, z0):
     return z, p, dp, scale, settled
 
 
+def _radii(basis, etas, n, p, scale, prod, w):
+    """n (|P| + rounding bound) / (|lead| prod w), infinite where that
+    denominator is not finite and positive."""
+    den = np.abs(etas[:, -1:] * basis.kappas[-1]) * prod * w
+    ok = np.isfinite(den) & (den > 0)
+    num = n * (np.abs(p) + zerocount._roundoff(n, scale))
+    return np.where(ok, num / np.where(ok, den, 1.0), np.inf)
+
+
 def _inclusion_radii_oracle(basis, etas, z, p, scale):
-    """zerocount._inclusion_radii with the product and the distances taken
-    one column j at a time."""
+    """zerocount._inclusion_radii with the distance moduli, their product
+    and their minimum taken one column j at a time."""
+    n = z.shape[1]
+    az = np.abs(z)
+    w = np.divide(1.0, az, out=np.ones(z.shape), where=az > 1.0)
+    prod = np.ones(z.shape)
+    gap = np.full(z.shape, np.inf)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for j in range(n):
+            d = np.abs(z - z[:, j:j + 1])
+            d[:, j] = np.inf
+            np.minimum(gap, d, out=gap)
+            d *= w
+            d[:, j] = 1.0
+            prod *= d
+        rad = _radii(basis, etas, n, p, scale, prod, w)
+    return rad, gap
+
+
+def _complex_product_radii(basis, etas, z, p, scale):
+    """The inclusion radii by the complex Weierstrass product itself:
+    prod_{j != i} (z_i - z_j), or z_i^-(n-1) prod_{j != i} (z_i - z_j) =
+    prod_{j != i} (1 - z_j / z_i) where |z_i| > 1, one column at a time."""
     n = z.shape[1]
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)
     zw = np.where(out, 1.0, z)
     prod = np.ones_like(z)
-    gap = np.full(z.shape, np.inf)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for j in range(n):
-            zj = z[:, j:j + 1]
-            f = zw - zj * w
+            f = zw - z[:, j:j + 1] * w
             f[:, j] = 1.0
             prod *= f
-            d = np.abs(z - zj)
-            d[:, j] = np.inf
-            np.minimum(gap, d, out=gap)
-        den = np.abs(etas[:, -1:] * basis.kappas[-1]) * np.abs(prod) * np.abs(w)
-        ok = np.isfinite(den) & (den > 0)
-        num = n * (np.abs(p) + zerocount._roundoff(n, scale))
-        rad = np.where(ok, num / np.where(ok, den, 1.0), np.inf)
-    return rad, gap
+        return _radii(basis, etas, n, p, scale, np.abs(prod), np.abs(w))
 
 
 def _bits(x):
@@ -469,6 +490,44 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     for zs, r in zip(roots(basis, etas), rad):
         if zs.radii.any():  # proven by disjoint disks, not the comrade matrix
             assert _bits(zs.radii) == _bits(r)
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
+                                 "constant:0.5"])
+@pytest.mark.parametrize("n", [37, 200, 800])
+def test_inclusion_radii_match_complex_product(fam, n):
+    # the radii from the real distance table are the radii of the complex
+    # Weierstrass product up to rounding, on proven rows whose roots lie on
+    # both sides of the unit circle (a single row of constant:0.5 at
+    # n = 800, which only a dense comrade eigensolve proves)
+    basis = alpha_family(fam).build(n)
+    block = 1 if (fam, n) == ("constant:0.5", 800) else 2
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(9, t)) for t in range(block)])
+    z = np.array([zs.roots for zs in roots(basis, etas)])
+    assert ((np.abs(z) < 1).any(axis=1) & (np.abs(z) > 1).any(axis=1)).all()
+    p, scale = (x.reshape(z.shape) for x in eval_poly(
+        basis, etas, z.reshape(-1), rows=np.repeat(np.arange(block), n)))
+    got, _ = zerocount._inclusion_radii(basis, etas, z, p, scale)
+    want = _complex_product_radii(basis, etas, z, p, scale)
+    assert np.isfinite(got).all() and np.all(got > 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("z", [[0.5, 1e200, 2e200j, -3e200],  # overflows
+                               [1e-120, 2e-120, 3e-120j, -4e-120]])  # underflows
+def test_inclusion_radius_infinite_where_product_leaves_range(z):
+    # |0.5 - 1e200| |0.5 - 2e200 i| |0.5 + 3e200| overflows; every product of
+    # three distances of about 1e-120 underflows to 0
+    basis, eta = _plain([1, 2, 3, 4, 1])
+    z = np.array([z], dtype=np.complex128)
+    p, scale = np.zeros(z.shape, dtype=np.complex128), np.ones(z.shape)
+    rad, _ = zerocount._inclusion_radii(basis, eta[None], z, p, scale)
+    want = _complex_product_radii(basis, eta[None], z, p, scale)
+    assert rad[0, 0] == np.inf
+    assert np.array_equal(np.isinf(rad), np.isinf(want))
+    assert np.allclose(rad[np.isfinite(rad)], want[np.isfinite(want)],
+                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 200])
