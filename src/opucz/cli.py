@@ -125,6 +125,15 @@ def _degrees(value) -> list:
     return [_integer(v) for v in value]
 
 
+def _out(value) -> str:
+    """An artifact path prefix in a writable directory, checked before any
+    trial runs."""
+    folder = os.path.dirname(str(value)) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ValueError(f"{value!r}: {folder!r} is not a writable directory")
+    return str(value)
+
+
 def _threads(value) -> int:
     """The worker count; the OPUCZ_THREADS environment variable wins."""
     env = os.environ.get("OPUCZ_THREADS")
@@ -323,7 +332,7 @@ _REQUIRED = object()  # the default of a flag that must be given
 _ENSEMBLE = {"alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
              "model": (str, "gaussian"), "region": (str, _REQUIRED),
              "ns": (_degrees, _REQUIRED), "trials": (_integer, _REQUIRED),
-             "seed": (_integer, 0), "out": (str, _REQUIRED),
+             "seed": (_integer, 0), "out": (_out, _REQUIRED),
              "threads": (_threads, os.cpu_count() or 1)}
 
 _COMMANDS = {

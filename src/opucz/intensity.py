@@ -23,7 +23,10 @@ with, writing D = K(z,z) K(w,w) - |K(z,w)|^2,
 
 The same quantity is also the permanental form Perm(C - B^H A^{-1} B) /
 (pi^2 det A) on the 2x2 kernel blocks A = [K], B = [K01], C = [K11]; the
-tests keep that second route as an independent cross-check.
+tests keep it, and the closed-form kernel_cd, as cross-checks.  Every
+kernel here is a direct sum over phi_0..phi_n, from one values_at per point
+scaled by a power of two: that changes no bit of either intensity, and
+keeps the sums finite outside the disk, where phi_j grows like |z|^j.
 
 As n grows (for coefficient families in the ratio-asymptotics regime) the
 intensities approach basis-independent limits off the unit circle:
@@ -41,15 +44,14 @@ from typing import Union
 
 import numpy as np
 
-from .errors import MixedSides, OnUnitCircle, UsageError
-from .kernel import _cd, _direct, _resolve_order
+from .errors import ComputationError, MixedSides, OnUnitCircle, UsageError
+from .kernel import _direct, _resolve_order
 # the public routes stay importable from here: perfbench/workloads.py traces
 # intensity.kernel_cd and intensity.kernel_direct by attribute
 from .kernel import kernel_cd, kernel_direct  # noqa: F401
 from .opuc import OpucBasis
 
 PAIR_COINCIDENCE = 1e-9
-DIRECT_FALLBACK = 0.1
 CIRCLE_GUARD = 1e-12
 
 
@@ -59,11 +61,21 @@ class IntensityValue:
     order: Union[int, str]  # truncation degree, or "limit"
 
 
-def _kernel_at(basis: OpucBasis, vz, vw, z, w, n: int):
-    # closed form away from its singular curve, direct sums near it
-    if abs(1.0 - z * np.conj(w)) <= DIRECT_FALLBACK or n + 1 > basis.order:
-        return _direct(vz, vw, n)
-    return _cd(vz, vw, z, w, n)
+def _values(basis: OpucBasis, z: complex, n: int):
+    """values_at(z) to degree n with derivatives, times the power of two
+    2^-e for which 2^(e-1) <= max_j |phi_j(z)| < 2^e."""
+    v = basis.values_at(z, upto=n, derivs=True)
+    top = float(np.max(np.abs(v[0])))
+    if not math.isfinite(top):
+        raise ComputationError(f"|phi_j({z})| overflows for some j <= {n}")
+    s = math.ldexp(1.0, -math.frexp(top)[1])
+    return [x * s for x in v]
+
+
+def _finite(val: float, n: int) -> IntensityValue:
+    if not math.isfinite(val):  # as where phi_j' overflows but phi_j does not
+        raise ComputationError(f"intensity at degree {n} is not finite")
+    return IntensityValue(float(val), n)
 
 
 def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
@@ -73,21 +85,18 @@ def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
     n = _resolve_order(basis, n, need_next=False)
-    z = complex(z)
-    v = basis.values_at(z, upto=n, derivs=True)
+    v = _values(basis, complex(z), n)
     k = _direct(v, v, n)
     K = k.K.real
-    val = (k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K)
-    return IntensityValue(float(val), n)
+    return _finite((k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K), n)
 
 
 def _pair_kernels(basis: OpucBasis, z, w, n: int):
-    """K at (z,z), (w,w), (z,w) and (w,z), from one values_at per point."""
-    m = min(_resolve_order(basis, n, need_next=False) + 1, basis.order)
-    vz = basis.values_at(z, upto=m, derivs=True)
-    vw = basis.values_at(w, upto=m, derivs=True)
-    return (_kernel_at(basis, vz, vz, z, z, n), _kernel_at(basis, vw, vw, w, w, n),
-            _kernel_at(basis, vz, vw, z, w, n), _kernel_at(basis, vw, vz, w, z, n))
+    """K at (z,z), (w,w), (z,w) and (w,z), from _values once per point."""
+    n = _resolve_order(basis, n, need_next=False)
+    vz, vw = _values(basis, z, n), _values(basis, w, n)
+    return (_direct(vz, vz, n), _direct(vw, vw, n),
+            _direct(vz, vw, n), _direct(vw, vz, n))
 
 
 def _fg(kzz, kww, kzw, kwz, D):
@@ -126,8 +135,7 @@ def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
         return IntensityValue(0.0, n)
     fzw, gzw = _fg(kzz, kww, kzw, kwz, D)
     fwz, gwz = _fg(kww, kzz, kwz, kzw, D)
-    val = (fzw * fwz + (gzw * gwz).real) / math.pi**2
-    return IntensityValue(float(val), n)
+    return _finite((fzw * fwz + (gzw * gwz).real) / math.pi**2, n)
 
 
 def _check_off_circle(z: complex) -> float:

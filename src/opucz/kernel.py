@@ -20,11 +20,12 @@ where phi = phi_{n+1}, phi* its reversal, and
     R(z, w) = conj(phi*'(w)) phi*'(z) - conj(phi'(w)) phi'(z).
 
 Both routes take their phi values from the recursion in value space
-(OpucBasis.values_at); each public route is a thin wrapper over a helper
-that takes those values, so the intensities evaluate every point once.
+(OpucBasis.values_at).  kernel_direct wraps _direct, which takes those
+values, so the intensities, which use the direct sums alone, evaluate
+every point once.
 
 The closed forms break down on the curve z conj(w) = 1; within 1e-8 of it
-kernel_cd refuses and callers fall back to kernel_direct.
+kernel_cd refuses and callers use kernel_direct instead.
 """
 from __future__ import annotations
 
@@ -84,20 +85,13 @@ def kernel_cd(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     n = _resolve_order(basis, n, need_next=True)
     z = complex(z)
     w = complex(w)
-    return _cd(basis.values_at(z, upto=n + 1, derivs=True),
-               basis.values_at(w, upto=n + 1, derivs=True), z, w, n)
-
-
-def _cd(vz, vw, z: complex, w: complex, n: int) -> KernelEval:
-    """kernel_cd from values_at(z) and values_at(w), each with derivatives
-    and held to degree n+1 or more."""
     u = 1.0 - z * np.conj(w)
     if abs(u) <= CD_GUARD:
         raise NearDiagonalSingularity(
             f"|1 - z conj(w)| = {abs(u):.3e} <= {CD_GUARD}; use kernel_direct")
     m = n + 1
-    pz, psz, dpz, dpsz = (v[m] for v in vz)
-    pw, psw, dpw, dpsw = (v[m] for v in vw)
+    pz, psz, dpz, dpsz = (v[m] for v in basis.values_at(z, upto=m, derivs=True))
+    pw, psw, dpw, dpsw = (v[m] for v in basis.values_at(w, upto=m, derivs=True))
     S = np.conj(dpsw) * psz - np.conj(dpw) * pz
     R = np.conj(dpsw) * dpsz - np.conj(dpw) * dpz
     Swz = np.conj(dpsz) * psw - np.conj(dpz) * pw

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (AuditMismatch, BoundaryProximity,
                      ExclusionBudgetExceeded, UsageError)
 # regularity_report is not called here; perfbench traces it under this name
-from .opuc import AlphaFamily, OpucBasis, regularity_report
+from .opuc import AlphaFamily, OpucBasis, regularity_report, szego_build
 from .zerocount import (
     Region,
     ZeroSet,
@@ -335,8 +335,12 @@ def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
     se_mean = float(counts.std(ddof=1) / math.sqrt(m))
     boot_rng = np.random.Generator(
         np.random.Philox(key=splitmix64((seed & _M64) ^ _BOOT_SALT)))
-    idx = boot_rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
-    boot_vars = counts[idx].var(axis=1, ddof=1)
+    # resample indices in chunks of about 2**16, not GBs at once: the draws
+    # continue one stream, so they are those of one (resamples, m) draw
+    step = max(1, 2 ** 16 // m)
+    boot_vars = np.concatenate([counts[boot_rng.integers(0, m, size=(
+        min(step, BOOTSTRAP_RESAMPLES - lo), m))].var(axis=1, ddof=1)
+        for lo in range(0, BOOTSTRAP_RESAMPLES, step)])
     se_var = float(boot_vars.std(ddof=1))
 
     return EnsembleStats(
@@ -379,8 +383,8 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
         raise UsageError("convergence study needs a sector region")
     frac = region.angular_fraction()
     _check_sizes(trials, workers)
-    basis_family.alphas(max(ns))  # one warm-up fill of the family cache
-    bases = [basis_family.build(n) for n in ns]
+    alphas = basis_family.alphas(max(ns))  # one run serves every degree
+    bases = [szego_build(alphas, n) for n in ns]
     blocks = _blocks(trials)
     # one queue for every degree, largest first: its blocks take longest
     done, claimed, peaks, method = _solve(

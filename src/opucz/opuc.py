@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -248,14 +248,14 @@ class WeightSpec:
     """A nonnegative weight on [0, 2pi), known up to normalization.
 
     kinds: "lebesgue" (constant), "cosine_bump" ((1 + cos theta)/(2 pi)),
-    "generalized_jacobi" (constant base times prod |theta - theta_j|^e_j,
-    with the angle difference taken literally on [0, 2pi)).
+    "generalized_jacobi" (prod |theta - theta_j|^e_j, with the angle
+    difference taken literally on [0, 2pi)).  A constant factor would
+    cancel in the normalization c_0 = 1 of the moments.
     """
 
     kind: str
     thetas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     exponents: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    base: float = 1.0
 
     @staticmethod
     def lebesgue() -> "WeightSpec":
@@ -266,7 +266,7 @@ class WeightSpec:
         return WeightSpec("cosine_bump")
 
     @staticmethod
-    def generalized_jacobi(thetas, exponents, base: float = 1.0) -> "WeightSpec":
+    def generalized_jacobi(thetas, exponents) -> "WeightSpec":
         t = np.atleast_1d(np.asarray(thetas, dtype=float))
         e = np.atleast_1d(np.asarray(exponents, dtype=float))
         if t.shape != e.shape:
@@ -275,9 +275,7 @@ class WeightSpec:
             raise UsageError("jacobi exponents must be positive")
         if np.any((t < 0) | (t >= 2 * np.pi)):
             raise UsageError("jacobi angles must lie in [0, 2pi)")
-        if base <= 0:
-            raise UsageError("base level must be positive")
-        return WeightSpec("generalized_jacobi", t, e, base)
+        return WeightSpec("generalized_jacobi", t, e)
 
     def evaluate(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
@@ -286,7 +284,7 @@ class WeightSpec:
         if self.kind == "cosine_bump":
             return (1.0 + np.cos(th)) / (2 * np.pi)
         if self.kind == "generalized_jacobi":
-            w = np.full(th.shape, self.base)
+            w = np.ones(th.shape)
             for t0, e0 in zip(self.thetas, self.exponents):
                 w = w * np.abs(th - t0) ** e0
             return w
@@ -371,7 +369,8 @@ def moments_from_weight(w: WeightSpec, count: int) -> np.ndarray:
             th = centres[:, None] + half * x
             f = w.evaluate(th) / ((hi - th) ** a * (th - lo) ** b)
             # a real matrix times the complex one's interleaved float view,
-            # by einsum's loops: a BLAS left multithreaded took 16 ms a call
+            # by einsum's loops: a BLAS product of this size, left at its
+            # default thread count, costs more than it saves
             local = _phases(half * x, count).view(np.float64)
             inner = np.einsum("pm,mk->pk", f * (g * half ** (1.0 + a + b)),
                               local).view(np.complex128)
@@ -472,20 +471,18 @@ def read_alpha_file(path: str) -> np.ndarray:
 class AlphaFamily:
     """A named generator of recurrence coefficients.
 
-    alphas(count) returns the first `count` coefficients; weight-backed
-    families solve the moment problem lazily and cache the longest run seen.
+    alphas(count) returns the first `count` coefficients, generated anew on
+    each call: weight-backed families solve the moment problem each time, so
+    a caller that needs several degrees asks once for the largest.
     """
 
     name: str
     _gen: Callable[[int], np.ndarray]
-    _cache: Optional[np.ndarray] = field(default=None, repr=False)
 
     def alphas(self, count: int) -> np.ndarray:
         if count < 0:
             raise UsageError("count must be >= 0")
-        if self._cache is None or self._cache.size < count:
-            self._cache = np.asarray(self._gen(count), dtype=np.complex128)
-        return self._cache[:count]
+        return np.asarray(self._gen(count), dtype=np.complex128)[:count]
 
     def build(self, n: int) -> OpucBasis:
         return szego_build(self.alphas(n), n)

@@ -11,8 +11,8 @@ Two independent counting routes, both working in the basis itself:
     unit circle where the model is not to be trusted; a row that this does
     not prove starts again from the eigenvalues of its comrade matrix (the
     GGT matrix of multiplication by z, changed by rank one).  Each start
-    off the circle is first checked by P alone, so a start that is already
-    a root costs no derivatives.  Then a point-in-region test on each root.
+    is first checked by P alone, so a start that is already a root costs
+    no derivatives.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs.  The result must land within 0.1 of an
@@ -30,8 +30,8 @@ counts as lying on that: an edge tie is decided by the half-open rule, not
 by the sign of a roundoff.  Circular rims test the computed |z|.
 
 Importing the module, and every trial it solves, loads numpy's core alone:
-the audit's Gauss-Legendre rule is written out, not computed by
-numpy.polynomial, and the iteration marks failed rows in a boolean mask
+the audit's Gauss-Legendre rule is opuc.gauss_jacobi's, not
+numpy.polynomial's, and the iteration marks failed rows in a boolean mask
 rather than calling np.unique, which in numpy 2.x imports numpy.ma on its
 first call.
 """
@@ -51,7 +51,7 @@ from .errors import (
     NoConvergence,
     UsageError,
 )
-from .opuc import OpucBasis, eval_poly
+from .opuc import OpucBasis, eval_poly, gauss_jacobi
 
 DEGENERATE_LEAD = 1e-300
 RESIDUAL_SCALE = 1e-8
@@ -60,18 +60,7 @@ ABERTH_STEPS = 60
 INTEGER_SLACK = 0.1
 
 _EPS = np.finfo(float).eps
-# the 12-point Gauss-Legendre rule on [-1, 1], leggauss(12) to the bit,
-# written out so that importing this module loads no numpy.polynomial
-_GL_NODES = np.array([
-    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
-    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
-    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
-_GL_WEIGHTS = np.array([
-    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
-    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
-    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
-    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL_NODES, _GL_WEIGHTS = gauss_jacobi(12)  # the audit's panel rule on [-1, 1]
 _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
@@ -332,10 +321,9 @@ def _circle_step(coefs: np.ndarray) -> np.ndarray:
     return np.where(stay, z, z - step)
 
 
-def _starts(basis: OpucBasis, etas: np.ndarray):
-    """Starting points for the Aberth iteration in the basis, one row each,
-    and which rows start from their model's roots (the rest start on the
-    circle).
+def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
+    """Starting points for the Aberth iteration in the basis, one row each:
+    the roots of the row's monomial model, or the unit circle.
 
     A row's start is the result of the same iteration run on its monomial
     model (_monomial_coefficients, evaluated by _horner) from the circle,
@@ -349,7 +337,6 @@ def _starts(basis: OpucBasis, etas: np.ndarray):
     the iteration on the model ended with a non-finite point.
     """
     z = _circle(etas.shape[0], basis.order)
-    modelled = np.zeros(etas.shape[0], dtype=bool)
     coefs, spread = _monomial_coefficients(basis, etas)
     model = np.flatnonzero(spread <= _MODEL_SPREAD)  # a NaN spread fails
     if model.size:
@@ -360,11 +347,10 @@ def _starts(basis: OpucBasis, etas: np.ndarray):
                      z1[ok])[0]
         fine = np.isfinite(zm).all(axis=1)
         z[model[fine]] = zm[fine]
-        modelled[model[fine]] = True
-    return z, modelled
+    return z
 
 
-def _aberth(evaluate, z0: np.ndarray, check=None, checked=None):
+def _aberth(evaluate, z0: np.ndarray, check=None):
     """Simultaneous Aberth-Ehrlich iteration from the starts z0, one row of
     n approximations per polynomial.
 
@@ -380,8 +366,7 @@ def _aberth(evaluate, z0: np.ndarray, check=None, checked=None):
     check settled the start.
 
     check(z, rows=rows), when given, gives P and the scale alone, with the
-    bits evaluate gives them: every start of the rows that the boolean mask
-    `checked` marks (all rows when it is None) is tested once against the
+    bits evaluate gives them: every start is tested once against the
     rounding bound by it, and only the starts that fail reach evaluate, so
     starts that are already roots cost no derivatives.  The result is the
     same as without check.
@@ -398,14 +383,13 @@ def _aberth(evaluate, z0: np.ndarray, check=None, checked=None):
     flat = z.reshape(-1)
     failed = np.zeros(z.shape[0], dtype=bool)
     live = np.arange(z.size)  # flat indices of moving approximations
-    if check is not None:
-        at = live if checked is None else live[np.repeat(checked, n)]
-        if at.size:
-            pl, sl = check(flat[at], rows=at // n)
-            done = np.abs(pl) <= _roundoff(n, sl)
-            p.flat[at[done]], scale.flat[at[done]] = pl[done], sl[done]
-            settled.flat[at[done]] = True
-            live = np.flatnonzero(~settled)
+    if check is not None and live.size:
+        pl, sl = check(flat, rows=live // n)
+        done = np.abs(pl) <= _roundoff(n, sl)
+        at = live[done]
+        p.flat[at], scale.flat[at] = pl[done], sl[done]
+        settled.flat[at] = True
+        live = live[~done]
     for _ in range(ABERTH_STEPS):
         if not live.size:
             break
@@ -504,24 +488,21 @@ def _inclusion_radii(basis: OpucBasis, etas: np.ndarray, z, p, scale):
     return rad, gap
 
 
-def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray, checked=None):
+def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
     """The Aberth iteration through eval_poly on eta from the starts z0, and
     its certificate.
 
-    Every start of the rows that the boolean mask `checked` marks (all rows
-    when it is None) is first checked by one eval_poly call without
-    derivatives (the check of _aberth): most roots of a monomial model
-    already meet the rounding bound in the basis, and only the starts that
-    do not enter the steps that carry P'.  A circle start almost never meets
-    it, so _block_roots checks only the rows that start from their model's
-    roots.  Returns the roots with their residuals and inclusion radii,
-    whether each root settled on a ground of ZeroSet, and whether each row
-    is proven: every root so certified and the row's disks pairwise
-    disjoint.
+    Every start is first checked by one eval_poly call without derivatives
+    (the check of _aberth): most roots of a monomial model already meet the
+    rounding bound in the basis, and only the starts that do not enter the
+    steps that carry P'.  Returns the roots with their residuals and
+    inclusion radii, whether each root settled on a ground of ZeroSet, and
+    whether each row is proven: every root so certified and the row's disks
+    pairwise disjoint.
     """
     z, p, dp, scale, settled = _aberth(
         functools.partial(eval_poly, basis, etas, derivs=True), z0,
-        check=functools.partial(eval_poly, basis, etas), checked=checked)
+        check=functools.partial(eval_poly, basis, etas))
     res = _residual(p, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = p / dp
@@ -555,7 +536,7 @@ def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
         found[t] = DegenerateLeadingCoefficient(
             f"|leading coefficient| = {lead[t]:.3e}")
     todo = np.flatnonzero(lead > DEGENERATE_LEAD)
-    z, res, rad, _, proven = _settle(basis, etas[todo], *_starts(basis, etas[todo]))
+    z, res, rad, _, proven = _settle(basis, etas[todo], _starts(basis, etas[todo]))
     for k in np.flatnonzero(proven):
         found[todo[k]] = ZeroSet(z[k], res[k], rad[k])
     # every other row starts again from its comrade eigenvalues

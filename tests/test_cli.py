@@ -328,6 +328,27 @@ def test_unreadable_coefficient_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.summary.json").exists()
 
 
+@pytest.mark.parametrize("command,sizes", [
+    ("simulate", ("--n", "10")), ("convergence", ("--ns", "10,20"))])
+def test_out_in_missing_or_unusable_directory_exits_2(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      sizes):
+    # refused as a usage error naming the path, before any trial runs
+    import opucz.mc as mc
+    solved = []
+    monkeypatch.setattr(mc, "_block_counts", solved.append)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    region = "annulus:0:0.5" if command == "simulate" else "sector:0.5:0:pi/2"
+    for out in (tmp_path / "absent" / "run", blocker / "run"):
+        code, stdout, err = run(capsys, command, "--alphas", "zero", *sizes,
+                                "--region", region, "--trials", "4",
+                                "--threads", "1", "--out", str(out))
+        assert (code, stdout) == (2, ""), err
+        assert "usage error: --out" in err and str(out) in err, err
+    assert solved == []
+
+
 def test_jacobi_exponent_below_one_exits_0(capsys):
     code, out, err = run(capsys, "basis", "--alphas", "weight:jacobi:pi:0.5",
                          "--n", "12")

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from opucz.errors import MixedSides, OnUnitCircle
+from opucz.cli import main
+from opucz.errors import ComputationError, MixedSides, OnUnitCircle
 from opucz.intensity import (
-    DIRECT_FALLBACK,
     PAIR_COINCIDENCE,
     _fg,
     _pair_kernels,
@@ -163,7 +163,8 @@ def test_rho2_trend_toward_limit_decay_family():
 
 
 def test_rho2_uses_direct_route_near_singular_curve():
-    # a pair with |1 - z conj(w)| < 0.1 exercises the fallback path
+    # a pair with |1 - z conj(w)| < 0.1, where the closed form loses digits
+    # and the direct sums, the one route, stay finite
     b = szego_build(np.zeros(31), 31)
     z = 0.999
     w = 0.999
@@ -179,16 +180,12 @@ def _rho1_public(basis, z, n):
     return (k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K)
 
 
-def _rho2_public(basis, z, w, n):
-    """Oracle: rho2_n from the public kernel routes, one call per pair."""
-    def at(a, b):
-        if abs(1.0 - a * np.conj(b)) <= DIRECT_FALLBACK or n + 1 > basis.order:
-            return kernel_direct(basis, a, b, n=n)
-        return kernel_cd(basis, a, b, n=n)
-
+def _rho2_public(basis, z, w, n, route=kernel_direct):
+    """Oracle: rho2_n from a public kernel route, one call per pair."""
     if abs(z - w) < PAIR_COINCIDENCE:
         return 0.0
-    kzz, kww, kzw, kwz = at(z, z), at(w, w), at(z, w), at(w, z)
+    kzz, kww, kzw, kwz = (route(basis, a, b, n=n)
+                          for a, b in ((z, z), (w, w), (z, w), (w, z)))
     D = kzz.K.real * kww.K.real - abs(kzw.K) ** 2
     if D <= 0.0:
         return 0.0
@@ -199,15 +196,67 @@ def _rho2_public(basis, z, w, n):
 
 @pytest.mark.parametrize("fam", FAMILIES + ["weight:jacobi:pi:1"])
 def test_intensities_bit_for_bit_against_public_kernel_routes(fam):
-    # one values_at per point gives the same bits as the public routes,
-    # which evaluate every point anew for each kernel
+    # one values_at per point, scaled by a power of two, gives the same
+    # bits as the public direct route, which evaluates every point anew
+    # for each kernel and scales nothing
     rng = np.random.default_rng(21)
     b = alpha_family(fam).build(31)
     for _ in range(25):
         z = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
         w = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
         near = (1 - 0.08 * rng.random() * np.exp(2j * np.pi * rng.random())) / np.conj(z)
-        for n in (5, 30, 31):  # n = 31: no degree n+1, direct sums only
+        for n in (5, 30, 31):  # n = 31: the basis holds no degree n+1
             assert rho1_n(b, z, n=n).value == _rho1_public(b, z, n)
             for v in (w, complex(near)):  # |1 - z conj(v)| < 0.1 for near
                 assert rho2_n(b, z, v, n=n).value == _rho2_public(b, z, v, n)
+
+
+@pytest.mark.parametrize("fam", FAMILIES + ["weight:jacobi:pi:1"])
+def test_rho2_against_closed_form_kernels(fam):
+    # the closed-form kernel_cd is an independent route to the same kernels:
+    # away from z conj(w) = 1, rho2_n built from it agrees with the direct
+    # sums to rounding
+    rng = np.random.default_rng(34)
+    b = alpha_family(fam).build(41)
+    checked = 0
+    while checked < 30:
+        z = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        w = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        if min(abs(1 - a * np.conj(c)) for a in (z, w) for c in (z, w)) < 0.1:
+            continue
+        a = rho2_n(b, z, w, n=40).value
+        want = _rho2_public(b, z, w, 40, route=kernel_cd)
+        assert abs(a - want) <= 1e-8 * max(1.0, abs(want)), (z, w)
+        checked += 1
+
+
+@pytest.mark.parametrize("z,w,rel", [(1.6, None, 1e-10), (1.6j, -1.5, 1e-9),
+                                     (1.6, 1.5, 1e-5), (0.5, None, 1e-14),
+                                     (0.5, -0.3, 1e-14)])
+def test_intensities_at_high_degree_reach_the_limit(z, w, rel):
+    # at n = 400, |phi_j(1.6)| reaches 1e81 and |K01|^2 about 1e330; the
+    # scaled values keep every sum finite, and on zero the intensities sit
+    # at their limits.  Outside the disk the formulas cancel by a factor of
+    # about n^2, and for the close pair (1.6, 1.5) much more
+    b = alpha_family("zero").build(401)
+    if w is None:
+        got, want = rho1_n(b, z, n=400).value, rho1_limit(z).value
+    else:
+        got, want = rho2_n(b, z, w, n=400).value, rho2_limit(z, w).value
+    assert got == pytest.approx(want, rel=rel)
+
+
+def test_intensity_past_overflow_is_refused(capsys):
+    # at n = 1600, phi_j(1.6) overflows a double: a computation error with
+    # a message, never a printed nan
+    b = alpha_family("zero").build(1601)
+    with pytest.raises(ComputationError):
+        rho1_n(b, 1.6, n=1600)
+    with pytest.raises(ComputationError):
+        rho2_n(b, 1.6, 1.5, n=1600)
+    for extra in ([], ["--w", "1.5"]):
+        code = main(["intensity", "--alphas", "zero", "--n", "1600",
+                     "--z", "1.6", *extra])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("computation error (ComputationError)")

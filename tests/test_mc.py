@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import sys
+import tracemalloc
 import types
 from concurrent.futures import Future
 
@@ -22,6 +23,7 @@ from opucz.mc import (
     trial_seed,
 )
 from opucz.opuc import alpha_family, eval_poly, regularity_report
+from opucz.varlim import var_limit_closed
 from opucz.zerocount import Region, count_in_region, roots
 
 QUARTER = Region.sector(0.5, 0.0, np.pi / 2)
@@ -575,3 +577,65 @@ def test_audit_mismatch_fails_the_ensemble(monkeypatch):
     monkeypatch.setattr(mc, "count_by_argument_principle", unsettled)
     stats = run_ensemble(*args, workers=1)  # flagged audits are not raised
     assert (stats.audited, stats.audit_flagged) == (0, 3)
+
+
+def _stats_of(counts, seed):
+    """mc._stats on one block of the given counts."""
+    return mc._stats(alpha_family("zero").build(4), Region.annulus(0, 0.5),
+                     len(counts), seed, [(list(counts), (0, [], 0, 0.0))],
+                     (1,), (None,), None)
+
+
+def _se_var_one_shot(counts, seed):
+    """Oracle: the bootstrap from one (BOOTSTRAP_RESAMPLES, m) index draw."""
+    rng = np.random.Generator(np.random.Philox(
+        key=mc.splitmix64((seed & mc._M64) ^ mc._BOOT_SALT)))
+    idx = rng.integers(0, counts.size,
+                       size=(mc.BOOTSTRAP_RESAMPLES, counts.size))
+    return float(counts[idx].var(axis=1, ddof=1).std(ddof=1))
+
+
+@pytest.mark.parametrize("m", [11, 101, 1000, 1999])
+def test_bootstrap_in_chunks_is_the_one_shot_draw(m):
+    # odd and even m, in one chunk (m = 11) or many, the last one short
+    # (m = 1999); the stream continues across the chunks' draws
+    counts = np.random.default_rng(m).integers(0, 40, m)
+    for seed in (0, 42):
+        assert _stats_of(counts, seed).se_var == \
+            _se_var_one_shot(counts, seed)
+
+
+def test_bootstrap_memory_bounded():
+    # 12,000 counts: one draw of every resample index would hold 96 MB
+    counts = np.random.default_rng(5).integers(0, 40, 12_000)
+    tracemalloc.start()
+    try:
+        stats = _stats_of(counts, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.se_var > 0
+    assert peak < 8 * 2 ** 20
+
+
+def test_regular_but_not_nevai_family(tmp_path):
+    # alpha_j = 0.9 at j = k^2 - 1 and 0 elsewhere: regular, since spikes of
+    # density 1/sqrt(n) leave (1/n) sum log rho_j -> 0, but not Nevai, since
+    # alpha_j does not tend to 0.  When the top coefficient alpha_{n-1} is a
+    # spike (n = 100, 121) the ratio phi_n / phi_n* stays large inside the
+    # disk, and at n = 100 the annulus variance sits far below the paper's
+    # limit; off the spikes (n = 120) it is back at the limit
+    path = tmp_path / "squares.txt"
+    squares = {k * k - 1 for k in range(1, 12)}
+    path.write_text("".join(f"{0.9 if j in squares else 0.0} 0\n"
+                            for j in range(130)))
+    family = alpha_family(f"file:{path}")
+    for n in (100, 121):
+        assert regularity_report(family.build(n)).nevai_proxy[-1] > 0.5
+    region = Region.annulus(0.3, 0.6)
+    limit = var_limit_closed(0.3, 0.6).value
+    spike, off = (run_ensemble(family.build(n), coeff_model("gaussian"),
+                               region, trials=1000, seed=42)
+                  for n in (100, 120))
+    assert spike.variance < limit - 4 * spike.se_var
+    assert abs(off.variance - limit) <= 4 * off.se_var

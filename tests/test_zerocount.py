@@ -309,7 +309,7 @@ def test_double_root_refused_by_disjoint_disks():
     basis, eta = _plain([0, 0, -1, 1])
     z, p, dp, scale, settled = zerocount._aberth(
         functools.partial(eval_poly, basis, eta[None], derivs=True),
-        zerocount._starts(basis, eta[None])[0])
+        zerocount._starts(basis, eta[None]))
     assert settled.all()
     rad, gap = zerocount._inclusion_radii(basis, eta[None], z, p, scale)
     pairs = np.abs(z[0][:, None] - z[0][None, :]) <= rad[0][:, None] + rad[0][None, :]
@@ -477,7 +477,7 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     circle = zerocount._circle(block, n)
     for evaluate, z0 in ((functools.partial(zerocount._horner, coefs), circle),
                          (in_basis, circle),
-                         (in_basis, zerocount._starts(basis, etas)[0])):
+                         (in_basis, zerocount._starts(basis, etas))):
         got = zerocount._aberth(evaluate, z0)
         want = _aberth_oracle(evaluate, z0)
         for g, w in zip(got, want):
@@ -623,9 +623,8 @@ def test_roots_independent_of_start(monkeypatch, fam, n):
     blocks = [np.array([sample_poly(basis, model, trial_seed(61, t))
                         for t in range(lo, lo + 8)]) for lo in (0, 8)]
     from_model = [zs for etas in blocks for zs in roots(basis, etas)]
-    monkeypatch.setattr(zerocount, "_starts", lambda basis, etas: (
-        zerocount._circle(etas.shape[0], basis.order),
-        np.zeros(etas.shape[0], dtype=bool)))
+    monkeypatch.setattr(zerocount, "_starts", lambda basis, etas:
+                        zerocount._circle(etas.shape[0], basis.order))
     from_circle = [zs for etas in blocks for zs in roots(basis, etas)]
     for got, want in zip(from_model, from_circle):
         dist = np.abs(got.roots[:, None] - want.roots[None, :])
@@ -655,9 +654,8 @@ def test_roots_memory_bounded():
 
 
 def _nan_starts(basis, etas):
-    """NaN starts, reported as modelled: their values are checked first."""
-    return (np.full((etas.shape[0], basis.order), np.nan + 0j),
-            np.ones(etas.shape[0], dtype=bool))
+    """NaN starts: their values are checked first, like every start's."""
+    return np.full((etas.shape[0], basis.order), np.nan + 0j)
 
 
 def test_eigenvalue_start_settles_and_proves_every_row(monkeypatch):
@@ -988,14 +986,12 @@ def test_row_with_vanishing_model_derivative_keeps_the_circle(monkeypatch, n):
     assert not np.isfinite(zerocount._circle_step(coefs)[bad]).all(axis=1).any()
     monkeypatch.setattr(zerocount, "_monomial_coefficients",
                         lambda basis, etas: (coefs, spread))
-    got, modelled = zerocount._starts(basis, etas)
+    got = zerocount._starts(basis, etas)
     assert _bits(got[bad]) == _bits(zerocount._circle(len(bad), n))
-    assert not modelled[bad].any()
     monkeypatch.setattr(zerocount, "_monomial_coefficients", sample)
     for k in sorted({0, 1, 2, 3} - set(bad)):
-        alone, alone_modelled = zerocount._starts(basis, etas[k:k + 1])
+        alone = zerocount._starts(basis, etas[k:k + 1])
         assert _bits(got[k]) == _bits(alone[0])
-        assert modelled[k] == alone_modelled[0]
 
 
 def _settle_oracle(basis, etas, z0):
@@ -1019,9 +1015,9 @@ def _checked_settle(monkeypatch, starts):
     oracle; each call's starts are appended to `starts`."""
     settle = zerocount._settle
 
-    def checked(basis, etas, z0, *mask):
+    def checked(basis, etas, z0):
         starts.append(np.array(z0))
-        got = settle(basis, etas, z0, *mask)
+        got = settle(basis, etas, z0)
         for g, w in zip(got, _settle_oracle(basis, etas, z0)):
             assert _bits(g) == _bits(w)
         return got
@@ -1044,8 +1040,8 @@ def test_settle_from_model_starts_bit_for_bit(monkeypatch, fam, n):
 
 
 def test_settle_from_circle_starts_bit_for_bit(monkeypatch):
-    # constant:0.5 rows start on the circle, whose values are not checked;
-    # the settle is the same bits as the oracle's
+    # constant:0.5 rows start on the circle, whose values are checked like
+    # any start's; the settle is the same bits as the oracle's
     basis = alpha_family("constant:0.5").build(100)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"),
                                  trial_seed(42, t)) for t in range(8)])
@@ -1076,18 +1072,19 @@ def test_settle_from_eigenvalue_starts_bit_for_bit(monkeypatch):
                                  "constant:0.5"])
 def test_settle_checks_values_before_derivatives(monkeypatch, fam):
     # the first basis call of a block's settle computes no derivatives and
-    # sees every start of the rows that start from their model's roots; the
-    # first call with derivatives sees exactly the ones that missed the
-    # rounding bound, with every start of the rows left on the circle, and
-    # no later call sees a start that met it.  On the first three families
-    # every row is modelled and under a tenth of the starts miss; every
-    # constant:0.5 row starts on the circle, so no call checks values alone
+    # sees every start; the first call with derivatives sees exactly the
+    # ones that missed the rounding bound, and no later call sees a start
+    # that met it.  On the first three families every row starts from its
+    # model's roots and under a tenth of the starts miss; every
+    # constant:0.5 row starts on the circle, and every circle start misses
     n = 100
     basis = alpha_family(fam).build(n)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"),
                                  trial_seed(42, t)) for t in range(20)])
-    z0, modelled = zerocount._starts(basis, etas)
-    assert modelled.all() if fam != "constant:0.5" else not modelled.any()
+    z0 = zerocount._starts(basis, etas)
+    circle = zerocount._circle(20, n)
+    on_circle = (z0 == circle).all(axis=1)
+    assert on_circle.all() if fam == "constant:0.5" else not on_circle.any()
     calls = []
     inner = zerocount.eval_poly
 
@@ -1099,15 +1096,14 @@ def test_settle_checks_values_before_derivatives(monkeypatch, fam):
 
     monkeypatch.setattr(zerocount, "eval_poly", recording)
     assert all(zs.radii.all() for zs in roots(basis, etas))
-    unsettled = np.repeat(~modelled[:, None], n, axis=1)
-    rest = calls
-    if modelled.any():
-        (first, z, (p, scale)), *rest = calls
-        assert not first and _bits(z) == _bits(z0[modelled].reshape(-1))
-        missed = np.abs(p) > zerocount._roundoff(n, scale)
-        unsettled[modelled] = missed.reshape(-1, n)
-        met = set(z[~missed].tolist())
-        assert not any(met & set(zz.tolist()) for _, zz, _ in rest)
+    (first, z, (p, scale)), *rest = calls
+    assert not first and _bits(z) == _bits(z0.reshape(-1))
+    missed = np.abs(p) > zerocount._roundoff(n, scale)
+    if fam == "constant:0.5":
+        assert missed.all()
+    else:
         assert 0 < np.count_nonzero(missed) < 0.1 * z.size
+    met = set(z[~missed].tolist())
+    assert not any(met & set(zz.tolist()) for _, zz, _ in rest)
     assert all(derivs for derivs, _, _ in rest)
-    assert _bits(rest[0][1]) == _bits(z0[unsettled])
+    assert _bits(rest[0][1]) == _bits(z[missed])
