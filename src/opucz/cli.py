@@ -30,7 +30,7 @@ import time
 
 from .errors import ComputationError, UsageError
 from .mc import coeff_model, convergence_study, run_ensemble
-from .opuc import _parse_scalar, alpha_family, regularity_report
+from .opuc import alpha_family, parse_scalar, regularity_report
 from .zerocount import Region
 
 
@@ -47,12 +47,12 @@ def parse_region(text: str) -> Region:
     """`annulus:<s>:<t>` or `sector:<r>:<alpha>:<beta>` (angles accept pi)."""
     parts = str(text).strip().split(":")
     if parts[0] == "annulus" and len(parts) == 3:
-        return Region.annulus(_parse_scalar(parts[1], "annulus inner radius"),
-                              _parse_scalar(parts[2], "annulus outer radius"))
+        return Region.annulus(parse_scalar(parts[1], "annulus inner radius"),
+                              parse_scalar(parts[2], "annulus outer radius"))
     if parts[0] == "sector" and len(parts) == 4:
-        return Region.sector(_parse_scalar(parts[1], "sector radial window"),
-                             _parse_scalar(parts[2], "sector start angle"),
-                             _parse_scalar(parts[3], "sector end angle"))
+        return Region.sector(parse_scalar(parts[1], "sector radial window"),
+                             parse_scalar(parts[2], "sector start angle"),
+                             parse_scalar(parts[3], "sector end angle"))
     raise UsageError(
         f"--region: {text!r} is not annulus:<s>:<t> or "
         "sector:<r>:<alpha>:<beta>")
@@ -166,8 +166,9 @@ def _run_basis(cfg: dict) -> int:
 def _run_kernel(cfg: dict) -> int:
     from . import kernel
     route = {"direct": kernel.kernel_direct, "cd": kernel.kernel_cd}
-    basis = alpha_family(cfg["alphas"]).build(cfg["n"] + 1)
-    k = route[cfg["route"]](basis, cfg["z"], cfg["w"], n=cfg["n"])
+    n = cfg["n"]  # the closed form reads phi_{n+1}, the direct sums phi_n
+    basis = alpha_family(cfg["alphas"]).build(n + 1 if cfg["route"] == "cd" else n)
+    k = route[cfg["route"]](basis, cfg["z"], cfg["w"], n=n)
     for name in ("K", "K01", "K11"):
         print(f"{name} {_fmt_c(getattr(k, name))}")
     return 0
@@ -182,7 +183,7 @@ def _run_intensity(cfg: dict) -> int:
         for flag in ("alphas", "n"):  # the finite-degree intensity needs both
             if cfg[flag] is None:
                 raise UsageError(f"missing required flag --{flag}")
-        basis = alpha_family(cfg["alphas"]).build(n + 1)
+        basis = alpha_family(cfg["alphas"]).build(n)
         out = rho1_n(basis, z, n=n) if w is None else rho2_n(basis, z, w, n=n)
     print(_fmt(out.value))
     return 0

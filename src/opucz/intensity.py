@@ -1,32 +1,25 @@
 """Zero intensities of Gaussian random combinations of the basis.
 
 For P(z) = sum_{k<=n} eta_k phi_k(z) with i.i.d. standard complex Gaussian
-coefficients, the one-point zero intensity is
+coefficients, the k-point zero intensity at z_1..z_k is the Gaussian
+conditioning formula (Hough, Krishnapur, Peres & Virag, Zeros of Gaussian
+Analytic Functions, section 3.4)
 
-    rho1 = (K11 K - |K01|^2) / (pi K^2)        (all kernels at (z, z))
+    rho_k = per(C - B^H A^{-1} B) / det(pi A),
 
-and the two-point intensity factors as
+where A, B and C are the k x k blocks of kernels K, K01 and K11 at the
+points.  Stack the columns phi(z_1)..phi(z_k), phi'(z_1)..phi'(z_k) of
+phi_0..phi_n into one matrix M; its Gram matrix M^H M holds A, B and C.
+With M = QR, det A = |r_00 ... r_{k-1,k-1}|^2 and the Schur complement is
+R_22^H R_22 for the trailing k x k block R_22 of R, so
 
-    pi^2 rho2(z, w) = f(z, w) f(w, z) + g(z, w) g(w, z)
+    rho1 = (|r_11| / |r_00|)^2 / pi
+    rho2 = q_22 (2 q_23 + q_33) / pi^2,  q_ij = (|r_ij|/|r_00|)(|r_ij|/|r_11|).
 
-with, writing D = K(z,z) K(w,w) - |K(z,w)|^2,
-
-    f(z,w) = K11(z,z)/sqrt(D)
-             + 2 Re[K(z,w) conj(K01(z,z)) K01(w,z)] / D^(3/2)
-             - [K(w,w)|K01(z,z)|^2 + K(z,z)|K01(w,z)|^2] / D^(3/2)
-
-    g(z,w) = K11(z,w)/sqrt(D)
-             + [K(z,w) conj(K01(z,z)) K01(w,w)
-                + conj(K(z,w) K01(w,z)) K01(z,w)] / D^(3/2)
-             - [K(w,w) conj(K01(z,z)) K01(z,w)
-                + K(z,z) conj(K01(w,z)) K01(w,w)] / D^(3/2).
-
-The same quantity is also the permanental form Perm(C - B^H A^{-1} B) /
-(pi^2 det A) on the 2x2 kernel blocks A = [K], B = [K01], C = [K11]; the
-tests keep it, and the closed-form kernel_cd, as cross-checks.  Every
-kernel here is a direct sum over phi_0..phi_n, from one values_at per point
-scaled by a power of two: that changes no bit of either intensity, and
-keeps the sums finite outside the disk, where phi_j grows like |z|^j.
+The Gram matrix is never formed, so nothing cancels in it, and every
+ratio stays finite where |phi_j(z)| is large outside the disk.  The tests
+keep the hand-expanded f/g form of rho2 and the permanental form on the
+kernel sums as oracles.
 
 As n grows (for coefficient families in the ratio-asymptotics regime) the
 intensities approach basis-independent limits off the unit circle:
@@ -45,7 +38,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ComputationError, MixedSides, OnUnitCircle, UsageError
-from .kernel import _direct, _resolve_order
 # the public routes stay importable from here: perfbench/workloads.py traces
 # intensity.kernel_cd and intensity.kernel_direct by attribute
 from .kernel import kernel_cd, kernel_direct  # noqa: F401
@@ -61,21 +53,24 @@ class IntensityValue:
     order: Union[int, str]  # truncation degree, or "limit"
 
 
-def _values(basis: OpucBasis, z: complex, n: int):
-    """values_at(z) to degree n with derivatives, times the power of two
-    2^-e for which 2^(e-1) <= max_j |phi_j(z)| < 2^e."""
-    v = basis.values_at(z, upto=n, derivs=True)
-    top = float(np.max(np.abs(v[0])))
-    if not math.isfinite(top):
-        raise ComputationError(f"|phi_j({z})| overflows for some j <= {n}")
-    s = math.ldexp(1.0, -math.frexp(top)[1])
-    return [x * s for x in v]
-
-
 def _finite(val: float, n: int) -> IntensityValue:
-    if not math.isfinite(val):  # as where phi_j' overflows but phi_j does not
+    if not math.isfinite(val):  # as where a ratio of entries of R overflows
         raise ComputationError(f"intensity at degree {n} is not finite")
     return IntensityValue(float(val), n)
+
+
+def _abs_r(basis: OpucBasis, points, n: int):
+    """|R| of M = QR, M the columns phi(z_i) then phi'(z_i) over phi_0..phi_n,
+    padded with zero rows to at least as many rows as columns."""
+    k = len(points)
+    vals = [basis.values_at(z, upto=n, derivs=True) for z in points]
+    m = np.zeros((max(n + 1, 2 * k), 2 * k), dtype=np.complex128)
+    for i, v in enumerate(vals):
+        m[:n + 1, i], m[:n + 1, k + i] = v[0], v[2]
+    if not np.all(np.isfinite(m)):
+        raise ComputationError(
+            f"phi_j or phi_j' overflows for some j <= {n} at {points}")
+    return np.abs(np.linalg.qr(m, mode="r"))
 
 
 def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
@@ -84,41 +79,15 @@ def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
         n = basis.order
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
-    n = _resolve_order(basis, n, need_next=False)
-    v = _values(basis, complex(z), n)
-    k = _direct(v, v, n)
-    K = k.K.real
-    return _finite((k.K11.real * K - abs(k.K01) ** 2) / (math.pi * K * K), n)
-
-
-def _pair_kernels(basis: OpucBasis, z, w, n: int):
-    """K at (z,z), (w,w), (z,w) and (w,z), from _values once per point."""
-    n = _resolve_order(basis, n, need_next=False)
-    vz, vw = _values(basis, z, n), _values(basis, w, n)
-    return (_direct(vz, vz, n), _direct(vw, vw, n),
-            _direct(vz, vw, n), _direct(vw, vz, n))
-
-
-def _fg(kzz, kww, kzw, kwz, D):
-    """f(z,w) and g(z,w) given the four kernel evaluations."""
-    rD = math.sqrt(D)
-    rD3 = rD * D
-    f = (kzz.K11.real / rD
-         + 2.0 * (kzw.K * np.conj(kzz.K01) * kwz.K01).real / rD3
-         - (kww.K.real * abs(kzz.K01) ** 2 + kzz.K.real * abs(kwz.K01) ** 2) / rD3)
-    g = (kzw.K11 / rD
-         + (kzw.K * np.conj(kzz.K01) * kww.K01
-            + np.conj(kzw.K * kwz.K01) * kzw.K01) / rD3
-         - (kww.K * np.conj(kzz.K01) * kzw.K01
-            + kzz.K * np.conj(kwz.K01) * kww.K01) / rD3)
-    return f, g
+    r = _abs_r(basis, [complex(z)], n)
+    return _finite((r[1, 1] / r[0, 0]) ** 2 / math.pi, n)
 
 
 def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
     """Two-point intensity at finite truncation degree n.
 
     Coincident pairs (|z - w| < 1e-9) return exactly 0: the intensity
-    vanishes there and the raw formula would form 0/0.
+    vanishes there and the formula would form 0/0.
     """
     if n is None:
         n = max(1, basis.order - 1)
@@ -128,14 +97,13 @@ def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
     w = complex(w)
     if abs(z - w) < PAIR_COINCIDENCE:
         return IntensityValue(0.0, n)
-    kzz, kww, kzw, kwz = _pair_kernels(basis, z, w, n)
-    D = kzz.K.real * kww.K.real - abs(kzw.K) ** 2
-    if D <= 0.0:
-        # Cauchy-Schwarz defect at roundoff level: numerically coincident
+    r = _abs_r(basis, [z, w], n)
+    if r[0, 0] == 0.0 or r[1, 1] == 0.0:
+        # phi(w) on the line of phi(z) to the last bit: numerically coincident
         return IntensityValue(0.0, n)
-    fzw, gzw = _fg(kzz, kww, kzw, kwz, D)
-    fwz, gwz = _fg(kww, kzz, kwz, kzw, D)
-    return _finite((fzw * fwz + (gzw * gwz).real) / math.pi**2, n)
+    q22, q23, q33 = ((r[i, j] / r[0, 0]) * (r[i, j] / r[1, 1])
+                     for i, j in ((2, 2), (2, 3), (3, 3)))
+    return _finite(q22 * (2.0 * q23 + q33) / math.pi**2, n)
 
 
 def _check_off_circle(z: complex) -> float:

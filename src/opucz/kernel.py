@@ -20,9 +20,8 @@ where phi = phi_{n+1}, phi* its reversal, and
     R(z, w) = conj(phi*'(w)) phi*'(z) - conj(phi'(w)) phi'(z).
 
 Both routes take their phi values from the recursion in value space
-(OpucBasis.values_at).  kernel_direct wraps _direct, which takes those
-values, so the intensities, which use the direct sums alone, evaluate
-every point once.
+(OpucBasis.values_at).  The intensities do not go through these sums: they
+condition on the same values by one QR factorisation (see intensity).
 
 The closed forms break down on the curve z conj(w) = 1; within 1e-8 of it
 kernel_cd refuses and callers use kernel_direct instead.
@@ -61,15 +60,8 @@ def _resolve_order(basis: OpucBasis, n, need_next: bool) -> int:
 def kernel_direct(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     """Term-by-term sums over phi_0..phi_n.  Valid everywhere."""
     n = _resolve_order(basis, n, need_next=False)
-    return _direct(basis.values_at(complex(z), upto=n, derivs=True),
-                   basis.values_at(complex(w), upto=n, derivs=True), n)
-
-
-def _direct(vz, vw, n: int) -> KernelEval:
-    """kernel_direct from values_at(z) and values_at(w), each with
-    derivatives and held to degree n or more."""
-    pz, dpz = vz[0][:n + 1], vz[2][:n + 1]
-    pw, dpw = vw[0][:n + 1], vw[2][:n + 1]
+    pz, _, dpz, _ = basis.values_at(complex(z), upto=n, derivs=True)
+    pw, _, dpw, _ = basis.values_at(complex(w), upto=n, derivs=True)
     K = np.dot(pz, np.conj(pw))
     K01 = np.dot(pz, np.conj(dpw))
     K11 = np.dot(dpz, np.conj(dpw))

@@ -488,7 +488,7 @@ class AlphaFamily:
         return szego_build(self.alphas(n), n)
 
 
-def _parse_scalar(token: str, what: str) -> float:
+def parse_scalar(token: str, what: str) -> float:
     """Finite float literal, optionally using 'pi' (pi, 2pi, pi/2, 0.5pi...);
     nan and inf are refused."""
     t = token.strip().lower()
@@ -520,14 +520,14 @@ def alpha_family(spec: str) -> AlphaFamily:
     if head == "zero" and len(parts) == 1:
         return AlphaFamily("zero", lambda n: np.zeros(n, dtype=np.complex128))
     if head == "constant" and len(parts) == 2:
-        a = _parse_scalar(parts[1], "constant level")
+        a = parse_scalar(parts[1], "constant level")
         if abs(a) >= 1:
             raise InvalidVerblunsky(f"constant level {a} has modulus >= 1")
         return AlphaFamily(f"constant:{parts[1]}",
                            lambda n: np.full(n, a, dtype=np.complex128))
     if head == "decay" and len(parts) == 3:
-        cc = _parse_scalar(parts[1], "decay scale")
-        pp = _parse_scalar(parts[2], "decay power")
+        cc = parse_scalar(parts[1], "decay scale")
+        pp = parse_scalar(parts[2], "decay power")
         if pp <= 0:
             raise UsageError("decay power must be positive")
 
@@ -555,8 +555,8 @@ def alpha_family(spec: str) -> AlphaFamily:
         elif wkind == "cosine" and len(parts) == 2:
             w = WeightSpec.cosine_bump()
         elif wkind == "jacobi" and len(parts) == 4:
-            th = _parse_scalar(parts[2], "jacobi angle")
-            ex = _parse_scalar(parts[3], "jacobi exponent")
+            th = parse_scalar(parts[2], "jacobi angle")
+            ex = parse_scalar(parts[3], "jacobi exponent")
             w = WeightSpec.generalized_jacobi([th], [ex])
         else:
             raise UsageError(f"unknown weight family: {spec!r}")

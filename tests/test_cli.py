@@ -72,6 +72,25 @@ def test_intensity_limit_pair(capsys):
     assert float(out) == pytest.approx(0.0788053650551516, abs=1e-12)
 
 
+def test_degree_n_commands_accept_a_file_of_n_coefficients(tmp_path, capsys):
+    # phi_0..phi_n need alpha_0..alpha_{n-1}; only the closed-form kernel
+    # route reads phi_{n+1}, and so alpha_n
+    path = tmp_path / "ten.txt"
+    path.write_text("".join(f"{0.1 * (-1) ** j} 0\n" for j in range(10)))
+    common = ("--alphas", f"file:{path}", "--n", "10", "--z", "0.3")
+    for argv in (("basis", "--alphas", f"file:{path}", "--n", "10"),
+                 ("intensity", *common),
+                 ("intensity", *common, "--w", "0.2j"),
+                 ("kernel", *common, "--w", "0.2j", "--route", "direct")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    code, out, err = run(capsys, "kernel", *common, "--w", "0.2j",
+                         "--route", "cd")
+    assert (code, out) == (2, "")
+    assert "holds 10 coefficients, need 11" in err
+
+
 def test_basis_report_decreasing_epsilon(capsys):
     code, out, _ = run(capsys, "basis", "--alphas", "decay:1:1", "--n", "12",
                        "--report")

@@ -1,7 +1,7 @@
 """The package imports only the standard library, numpy and itself;
-scipy, mpmath and pytest-benchmark belong in tests and benches.  An
-ensemble run, pool helpers included, loads none of the modules it does not
-execute."""
+scipy, mpmath and pytest-benchmark belong in tests and benches.  No module
+imports a sibling's private name.  An ensemble run, pool helpers included,
+loads none of the modules it does not execute."""
 import ast
 import json
 import os
@@ -55,6 +55,26 @@ def test_package_never_uses_numpy_polynomial():
     assert sources
     found = [(path.name, line) for path in sources
              for line in _polynomial_uses(path)]
+    assert not found
+
+
+def _private_imports(path):
+    """(line, name) for each _-prefixed name imported from a sibling module
+    of the package."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("opucz")):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # a name that one module shares with another is public, and is named so
+    sources = sorted(path for root in opucz.__path__
+                     for path in Path(root).glob("**/*.py"))
+    assert sources
+    found = [(path.name, line, name) for path in sources
+             for line, name in _private_imports(path)]
     assert not found
 
 

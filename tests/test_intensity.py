@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +8,6 @@ from opucz.cli import main
 from opucz.errors import ComputationError, MixedSides, OnUnitCircle
 from opucz.intensity import (
     PAIR_COINCIDENCE,
-    _fg,
-    _pair_kernels,
     rho1_limit,
     rho1_n,
     rho2_limit,
@@ -18,6 +17,29 @@ from opucz.kernel import kernel_cd, kernel_direct
 from opucz.opuc import alpha_family, szego_build
 
 FAMILIES = ["zero", "constant:0.5", "decay:1:1"]
+
+
+def _pair_kernels(basis, z, w, n, route=kernel_direct):
+    """K at (z,z), (w,w), (z,w) and (w,z) from a public kernel route."""
+    return tuple(route(basis, a, b, n=n)
+                 for a, b in ((z, z), (w, w), (z, w), (w, z)))
+
+
+def _fg(kzz, kww, kzw, kwz, D):
+    """Oracle: f(z,w) and g(z,w) of the hand-expanded form
+    pi^2 rho2(z, w) = f(z, w) f(w, z) + g(z, w) g(w, z), with
+    D = K(z,z) K(w,w) - |K(z,w)|^2, given the four kernel evaluations."""
+    rD = math.sqrt(D)
+    rD3 = rD * D
+    f = (kzz.K11.real / rD
+         + 2.0 * (kzw.K * np.conj(kzz.K01) * kwz.K01).real / rD3
+         - (kww.K.real * abs(kzz.K01) ** 2 + kzz.K.real * abs(kwz.K01) ** 2) / rD3)
+    g = (kzw.K11 / rD
+         + (kzw.K * np.conj(kzz.K01) * kww.K01
+            + np.conj(kzw.K * kwz.K01) * kzw.K01) / rD3
+         - (kww.K * np.conj(kzz.K01) * kzw.K01
+            + kzz.K * np.conj(kwz.K01) * kww.K01) / rD3)
+    return f, g
 
 
 def test_rho1_free_origin_is_inverse_pi():
@@ -121,8 +143,9 @@ def _rho2_permanental(basis, z, w, n):
 
 
 def test_rho2_dual_path_agreement():
-    # permanental route and f/g route recombine the same kernels; they must
-    # agree far beyond statistical doubt
+    # the QR of the values and the permanental form on the kernel sums are
+    # two routes to the same conditioning formula; they must agree far
+    # beyond statistical doubt
     rng = np.random.default_rng(12)
     for fam in FAMILIES:
         b = alpha_family(fam).build(25)
@@ -164,7 +187,7 @@ def test_rho2_trend_toward_limit_decay_family():
 
 def test_rho2_uses_direct_route_near_singular_curve():
     # a pair with |1 - z conj(w)| < 0.1, where the closed form loses digits
-    # and the direct sums, the one route, stay finite
+    # and the QR of the values, the one route, stays finite
     b = szego_build(np.zeros(31), 31)
     z = 0.999
     w = 0.999
@@ -181,11 +204,10 @@ def _rho1_public(basis, z, n):
 
 
 def _rho2_public(basis, z, w, n, route=kernel_direct):
-    """Oracle: rho2_n from a public kernel route, one call per pair."""
+    """Oracle: rho2_n by the f/g form from a public kernel route."""
     if abs(z - w) < PAIR_COINCIDENCE:
         return 0.0
-    kzz, kww, kzw, kwz = (route(basis, a, b, n=n)
-                          for a, b in ((z, z), (w, w), (z, w), (w, z)))
+    kzz, kww, kzw, kwz = _pair_kernels(basis, z, w, n, route=route)
     D = kzz.K.real * kww.K.real - abs(kzw.K) ** 2
     if D <= 0.0:
         return 0.0
@@ -195,10 +217,11 @@ def _rho2_public(basis, z, w, n, route=kernel_direct):
 
 
 @pytest.mark.parametrize("fam", FAMILIES + ["weight:jacobi:pi:1"])
-def test_intensities_bit_for_bit_against_public_kernel_routes(fam):
-    # one values_at per point, scaled by a power of two, gives the same
-    # bits as the public direct route, which evaluates every point anew
-    # for each kernel and scales nothing
+def test_intensities_agree_with_public_kernel_routes(fam):
+    # the kernel sums of the public direct route, recombined by the closed
+    # expressions for rho1 and the f/g form for rho2, give the QR route's
+    # intensities to rounding on points and pairs where those expressions
+    # cancel little
     rng = np.random.default_rng(21)
     b = alpha_family(fam).build(31)
     for _ in range(25):
@@ -206,9 +229,13 @@ def test_intensities_bit_for_bit_against_public_kernel_routes(fam):
         w = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
         near = (1 - 0.08 * rng.random() * np.exp(2j * np.pi * rng.random())) / np.conj(z)
         for n in (5, 30, 31):  # n = 31: the basis holds no degree n+1
-            assert rho1_n(b, z, n=n).value == _rho1_public(b, z, n)
+            want = _rho1_public(b, z, n)
+            got = rho1_n(b, z, n=n).value
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (z, n)
             for v in (w, complex(near)):  # |1 - z conj(v)| < 0.1 for near
-                assert rho2_n(b, z, v, n=n).value == _rho2_public(b, z, v, n)
+                want = _rho2_public(b, z, v, n)
+                got = rho2_n(b, z, v, n=n).value
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (z, v, n)
 
 
 @pytest.mark.parametrize("fam", FAMILIES + ["weight:jacobi:pi:1"])
@@ -231,19 +258,118 @@ def test_rho2_against_closed_form_kernels(fam):
 
 
 @pytest.mark.parametrize("z,w,rel", [(1.6, None, 1e-10), (1.6j, -1.5, 1e-9),
-                                     (1.6, 1.5, 1e-5), (0.5, None, 1e-14),
-                                     (0.5, -0.3, 1e-14)])
+                                     (1.6, 1.5, 1e-11), (1.6, 1.59, 1e-11),
+                                     (0.5, None, 1e-14), (0.5, -0.3, 1e-14)])
 def test_intensities_at_high_degree_reach_the_limit(z, w, rel):
-    # at n = 400, |phi_j(1.6)| reaches 1e81 and |K01|^2 about 1e330; the
-    # scaled values keep every sum finite, and on zero the intensities sit
-    # at their limits.  Outside the disk the formulas cancel by a factor of
-    # about n^2, and for the close pair (1.6, 1.5) much more
+    # at n = 400, |phi_j(1.6)| reaches 1e81; the QR of the values squares
+    # none of them, and on zero the intensities sit at their limits (to
+    # about 1e-160 outside the disk, where reversal maps z to 1/z).  On the
+    # close pair (1.6, 1.59) the f/g form over kernel sums cancels down to
+    # two digits at this degree
     b = alpha_family("zero").build(401)
     if w is None:
         got, want = rho1_n(b, z, n=400).value, rho1_limit(z).value
     else:
         got, want = rho2_n(b, z, w, n=400).value, rho2_limit(z, w).value
     assert got == pytest.approx(want, rel=rel)
+
+
+def test_close_exterior_pair_prints_the_limit(capsys):
+    # 12 significant digits of the finite-degree value are those of the limit
+    outs = []
+    for extra in (["--alphas", "zero", "--n", "400"], ["--limit"]):
+        assert main(["intensity", *extra, "--z", "1.6", "--w", "1.59"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == ["1.4958009381e-06\n"] * 2
+
+
+def test_rho2_at_lowest_degrees():
+    # a degree-1 combination has one zero, so no pair of them: rho2 is 0;
+    # at degree 2 the 3 x 4 value matrix is padded to square
+    b = alpha_family("decay:1:1").build(2)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        z = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        w = complex(1.6 * rng.random() * np.exp(2j * np.pi * rng.random()))
+        assert rho2_n(b, z, w, n=1).value == 0.0
+        want = _rho2_permanental(b, z, w, 2)
+        assert abs(rho2_n(b, z, w, n=2).value - want) <= 1e-11 * max(1.0, want)
+
+
+def _mp_rho(basis, points, n):
+    """Oracle: the conditioning formula per(C - B^H A^-1 B) / det(pi A) on
+    the kernels of phi_0..phi_n, in 50-digit arithmetic from the basis's own
+    recurrence coefficients."""
+    with mpmath.workdps(50):
+        cols = [], []
+        for z in points:
+            z = mpmath.mpc(z)
+            f = g = mpmath.mpc(1)
+            df = dg = mpmath.mpc(0)
+            phi, dphi = [f], [df]
+            for a in basis.alphas[:n].tolist():
+                a = mpmath.mpc(a)
+                s = 1 / mpmath.sqrt(1 - abs(a) ** 2)
+                d = f + z * df
+                df, dg = (d - mpmath.conj(a) * dg) * s, (dg - a * d) * s
+                f, g = (z * f - mpmath.conj(a) * g) * s, (g - a * z * f) * s
+                phi.append(f)
+                dphi.append(df)
+            cols[0].append(phi)
+            cols[1].append(dphi)
+        k = len(points)
+        m = cols[0] + cols[1]
+        gram = mpmath.matrix(2 * k, 2 * k)
+        for i in range(2 * k):
+            for j in range(2 * k):
+                gram[i, j] = mpmath.fsum(mpmath.conj(x) * y
+                                         for x, y in zip(m[i], m[j]))
+        A, B, C = gram[:k, :k], gram[:k, k:], gram[k:, k:]
+        S = C - B.H * mpmath.inverse(A) * B
+        per = S[0, 0] if k == 1 else S[0, 0] * S[1, 1] + S[0, 1] * S[1, 0]
+        return float(mpmath.re(per / (mpmath.pi ** k * mpmath.det(A))))
+
+
+def _polar(rng, lo, hi):
+    return complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.random()))
+
+
+def _pair_classes(rng):
+    """Three pairs each: interior, exterior, near the curve z conj(w) = 1,
+    and close (1e-3 <= |z - w| <= 1e-2) inside and outside the disk."""
+    def apart(lo, hi):
+        return _polar(rng, lo, hi), _polar(rng, lo, hi)
+
+    def close(lo, hi):
+        z = _polar(rng, lo, hi)
+        return z, z + rng.uniform(1e-3, 1e-2) * np.exp(2j * np.pi * rng.random())
+
+    def near():  # 1 - z conj(w) = conj(d), 0.02 <= |d| <= 0.09
+        z = _polar(rng, 0.6, 0.9)
+        return z, (1 - _polar(rng, 0.02, 0.09)) / np.conj(z)
+
+    return {"interior": [apart(0.05, 0.9) for _ in range(3)],
+            "exterior": [apart(1.1, 1.6) for _ in range(3)],
+            "near-curve": [near() for _ in range(3)],
+            "close interior": [close(0.05, 0.9) for _ in range(3)],
+            "close exterior": [close(1.1, 1.6) for _ in range(3)]}
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_intensities_against_50_digit_oracle(fam):
+    # every class of pair, close ones outside the disk included, to 1e-10
+    # relative at n = 40
+    rng = np.random.default_rng(40)
+    b = alpha_family(fam).build(40)
+    for z in [_polar(rng, 0.05, 0.9) for _ in range(3)] + \
+             [_polar(rng, 1.1, 1.6) for _ in range(3)]:
+        want = _mp_rho(b, [z], 40)
+        assert rho1_n(b, z, n=40).value == pytest.approx(want, rel=1e-10), z
+    for name, pairs in _pair_classes(rng).items():
+        for z, w in pairs:
+            want = _mp_rho(b, [z, w], 40)
+            got = rho2_n(b, z, w, n=40).value
+            assert got == pytest.approx(want, rel=1e-10), (name, z, w)
 
 
 def test_intensity_past_overflow_is_refused(capsys):

@@ -274,6 +274,25 @@ def test_quaternary_zero_family_has_no_zero_in_half_disk():
     assert stats.audited > 0 and stats.audit_flagged == 0
 
 
+def _sector_rate_gates(rows):
+    """Criterion 5's gates: E|N_n/n - 1/4| falls strictly with n, Var[N_n]/n^2
+    ends below 0.01, and no trial is excluded."""
+    devs = [r.mean_abs_dev for r in rows]
+    assert all(b < a for a, b in zip(devs, devs[1:])), devs
+    assert rows[-1].var_over_n2 < 0.01
+    assert not any(r.stats.excluded for r in rows)
+
+
+@pytest.mark.parametrize("law", ["uniform_disk", "quaternary"])
+@pytest.mark.parametrize("fam", ["zero", "weight:jacobi:pi:1"])
+def test_sector_rates_hold_for_non_gaussian_coefficients(fam, law):
+    # the sector estimate asks of eta only uniform fractional and
+    # logarithmic moment bounds, which both laws meet
+    rows = convergence_study(alpha_family(fam), coeff_model(law), QUARTER,
+                             [25, 50, 100], trials=200, seed=42)
+    _sector_rate_gates(rows)
+
+
 def test_blocks_depend_on_trials_alone():
     for trials in (2, mc.BLOCK, mc.BLOCK + 1, 5 * mc.BLOCK - 3):
         blocks = mc._blocks(trials)
@@ -618,6 +637,15 @@ def test_bootstrap_memory_bounded():
     assert peak < 8 * 2 ** 20
 
 
+def _squares_family(tmp_path):
+    """alpha_j = 0.9 at j = k^2 - 1 and 0 elsewhere, j < 130, as a file."""
+    path = tmp_path / "squares.txt"
+    squares = {k * k - 1 for k in range(1, 12)}
+    path.write_text("".join(f"{0.9 if j in squares else 0.0} 0\n"
+                            for j in range(130)))
+    return alpha_family(f"file:{path}")
+
+
 def test_regular_but_not_nevai_family(tmp_path):
     # alpha_j = 0.9 at j = k^2 - 1 and 0 elsewhere: regular, since spikes of
     # density 1/sqrt(n) leave (1/n) sum log rho_j -> 0, but not Nevai, since
@@ -625,11 +653,7 @@ def test_regular_but_not_nevai_family(tmp_path):
     # spike (n = 100, 121) the ratio phi_n / phi_n* stays large inside the
     # disk, and at n = 100 the annulus variance sits far below the paper's
     # limit; off the spikes (n = 120) it is back at the limit
-    path = tmp_path / "squares.txt"
-    squares = {k * k - 1 for k in range(1, 12)}
-    path.write_text("".join(f"{0.9 if j in squares else 0.0} 0\n"
-                            for j in range(130)))
-    family = alpha_family(f"file:{path}")
+    family = _squares_family(tmp_path)
     for n in (100, 121):
         assert regularity_report(family.build(n)).nevai_proxy[-1] > 0.5
     region = Region.annulus(0.3, 0.6)
@@ -639,3 +663,15 @@ def test_regular_but_not_nevai_family(tmp_path):
                   for n in (100, 120))
     assert spike.variance < limit - 4 * spike.se_var
     assert abs(off.variance - limit) <= 4 * off.se_var
+
+
+@pytest.mark.parametrize("ns", [(25, 49, 100), (30, 60, 110)],
+                         ids=["spikes", "off-spikes"])
+def test_sector_rates_hold_on_regular_but_not_nevai_family(tmp_path, ns):
+    # the sector estimate needs regularity alone: its rates hold at the
+    # spike degrees n = k^2, where the annulus variance misses the limit
+    # that needs the Nevai class, as well as off them
+    rows = convergence_study(_squares_family(tmp_path),
+                             coeff_model("gaussian"), QUARTER, ns,
+                             trials=200, seed=42)
+    _sector_rate_gates(rows)
