@@ -125,6 +125,13 @@ def _degrees(value) -> list:
     return [_integer(v) for v in value]
 
 
+def _seed(value) -> int:
+    """An integer in [0, 2^64), the range of a Philox key."""
+    if 0 <= (k := _integer(value)) < 2 ** 64:
+        return k
+    raise ValueError(f"not in [0, 2^64): {k}")
+
+
 def _out(value) -> str:
     """An artifact path prefix in a writable directory, checked before any
     trial runs."""
@@ -333,7 +340,7 @@ _REQUIRED = object()  # the default of a flag that must be given
 _ENSEMBLE = {"alphas": (str, _REQUIRED), "n": (_integer, _REQUIRED),
              "model": (str, "gaussian"), "region": (str, _REQUIRED),
              "ns": (_degrees, _REQUIRED), "trials": (_integer, _REQUIRED),
-             "seed": (_integer, 0), "out": (_out, _REQUIRED),
+             "seed": (_seed, 0), "out": (_out, _REQUIRED),
              "threads": (_threads, os.cpu_count() or 1)}
 
 _COMMANDS = {

@@ -75,8 +75,7 @@ def _abs_r(basis: OpucBasis, points, n: int):
 
 def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
     """One-point intensity at finite truncation degree n (default: basis order)."""
-    if n is None:
-        n = basis.order
+    n = basis.order if n is None else n
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
     r = _abs_r(basis, [complex(z)], n)
@@ -84,13 +83,12 @@ def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
 
 
 def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
-    """Two-point intensity at finite truncation degree n.
+    """Two-point intensity at finite degree n (default: basis order).
 
     Coincident pairs (|z - w| < 1e-9) return exactly 0: the intensity
     vanishes there and the formula would form 0/0.
     """
-    if n is None:
-        n = max(1, basis.order - 1)
+    n = basis.order if n is None else n
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
     z = complex(z)

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (AuditMismatch, BoundaryProximity,
                      ExclusionBudgetExceeded, UsageError)
 # regularity_report is not called here; perfbench traces it under this name
-from .opuc import AlphaFamily, OpucBasis, regularity_report, szego_build
+from .opuc import AlphaFamily, OpucBasis, regularity_report
 from .zerocount import (
     Region,
     ZeroSet,
@@ -134,8 +134,8 @@ class EnsembleStats:
     audited: int = 0
     audit_mismatches: int = 0  # a mismatch raises AuditMismatch instead
     audit_flagged: int = 0
-    # the largest ZeroSet residual of a counted trial's roots; above 1e-8
-    # only for a root certified by its Newton correction (see ZeroSet)
+    # the largest ZeroSet residual of a counted trial's roots; above 4(n+1)
+    # eps only for a root certified by its Newton correction (see ZeroSet)
     worst_residual: float = 0.0
     # the blocks that each process drained from the queue this ensemble was
     # solved in (a convergence study queues every degree in one), this
@@ -291,19 +291,22 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     """Count zeros in `region` over `trials` independent samples.
 
     Identical (seed, config) give bit-identical counts for any `workers`.
+    The seed must lie in [0, 2^64).
     """
-    _check_sizes(trials, workers)
+    _check_run(trials, workers, seed)
     done, claimed, peaks, method = _solve(
         [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)],
         workers)
     return _stats(basis, region, trials, seed, done, claimed, peaks, method)
 
 
-def _check_sizes(trials: int, workers: int) -> None:
+def _check_run(trials: int, workers: int, seed: int) -> None:
     if trials < 2:
         raise UsageError("need at least 2 trials")
     if workers < 1:
         raise UsageError("workers must be >= 1")
+    if not 0 <= seed <= _M64:
+        raise UsageError(f"seed must be in [0, 2^64), got {seed}")
 
 
 def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
@@ -334,7 +337,7 @@ def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
     variance = float(counts.var(ddof=1))
     se_mean = float(counts.std(ddof=1) / math.sqrt(m))
     boot_rng = np.random.Generator(
-        np.random.Philox(key=splitmix64((seed & _M64) ^ _BOOT_SALT)))
+        np.random.Philox(key=splitmix64(seed ^ _BOOT_SALT)))
     # resample indices in chunks of about 2**16, not GBs at once: the draws
     # continue one stream, so they are those of one (resamples, m) draw
     step = max(1, 2 ** 16 // m)
@@ -382,9 +385,8 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     if region.kind != "sector":
         raise UsageError("convergence study needs a sector region")
     frac = region.angular_fraction()
-    _check_sizes(trials, workers)
-    alphas = basis_family.alphas(max(ns))  # one run serves every degree
-    bases = [szego_build(alphas, n) for n in ns]
+    _check_run(trials, workers, seed)
+    bases = [basis_family.build(n) for n in ns]
     blocks = _blocks(trials)
     # one queue for every degree, largest first: its blocks take longest
     done, claimed, peaks, method = _solve(

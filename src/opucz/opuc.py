@@ -472,8 +472,7 @@ class AlphaFamily:
     """A named generator of recurrence coefficients.
 
     alphas(count) returns the first `count` coefficients, generated anew on
-    each call: weight-backed families solve the moment problem each time, so
-    a caller that needs several degrees asks once for the largest.
+    each call; a weight family's alphas(n) is not a prefix of alphas(m).
     """
 
     name: str

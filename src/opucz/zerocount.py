@@ -54,7 +54,6 @@ from .errors import (
 from .opuc import OpucBasis, eval_poly, gauss_jacobi
 
 DEGENERATE_LEAD = 1e-300
-RESIDUAL_SCALE = 1e-8
 STEP_ULPS = 8
 ABERTH_STEPS = 60
 INTEGER_SLACK = 0.1
@@ -164,15 +163,15 @@ class ZeroSet:
 
     Each residual is the backward error of the root relative to eta:
     |P(z)| / sum_k |eta_k| |phi_k(z)|, the smallest relative change of the
-    coefficients that makes z an exact root.  A root is certified on one
-    of two grounds:
+    coefficients that makes z an exact root.  A root is certified by the
+    test that stops the Aberth iteration, on one of two grounds:
 
-      * its residual is at most 1e-8 (RESIDUAL_SCALE); or
+      * its residual is at most 4 (n+1) eps (_roundoff), 9e-14 at n = 100; or
       * its last Newton correction |P(z)/P'(z)| is at most 8 ulps of
         max(1, |z|) (STEP_ULPS): z is the double nearest a root that no
         double reaches.  This happens where P changes by a large relative
-        amount within one ulp, as at the mass point z = 1 of constant
-        families with |alpha + 1/2| > 1/2.
+        amount within one ulp, as at the mass point z = 1 of constant:0.5
+        and every constant family with |alpha + 1/2| > 1/2.
 
     radii[i] is the radius of the Weierstrass inclusion disk about roots[i],
     from one real table of the distances |z_i - z_j|: the disks of the set
@@ -359,11 +358,10 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
     monomial model.  Each approximation moves by
     z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = P(z_i)/P'(z_i)
     (Bini, Numer. Algorithms 13, 1996).  An approximation settles, and stops
-    moving, once |P| is within the rounding bound or its Newton correction
-    is at most STEP_ULPS ulps.  A row with a non-finite approximation fails
-    and leaves the iteration.  Returns z, P, P' and the scale at each
-    settled approximation, and which ones settled; P' is left 0 where
-    check settled the start.
+    moving, on a ground of ZeroSet: |P| within the rounding bound, or a
+    Newton correction of at most STEP_ULPS ulps of max(1, |z|).  A row with
+    a non-finite approximation fails and leaves the iteration.  Returns z,
+    and P and the scale at each settled approximation, and which settled.
 
     check(z, rows=rows), when given, gives P and the scale alone, with the
     bits evaluate gives them: every start is tested once against the
@@ -377,7 +375,7 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
     """
     z = np.array(z0, dtype=np.complex128)
     n = z.shape[1]
-    p, dp = np.zeros_like(z), np.zeros_like(z)
+    p = np.zeros_like(z)
     scale = np.zeros(z.shape)
     settled = np.zeros(z.shape, dtype=bool)
     flat = z.reshape(-1)
@@ -400,7 +398,7 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
             newton = pl / dpl
         done = (np.abs(pl) <= _roundoff(n, sl)) | _tiny(newton, zl)
         at = live[done]
-        p.flat[at], dp.flat[at], scale.flat[at] = pl[done], dpl[done], sl[done]
+        p.flat[at], scale.flat[at] = pl[done], sl[done]
         settled.flat[at] = True
         move = ~done
         live, rows, pos, zl, newton = (x[move] for x in (live, rows, pos, zl, newton))
@@ -411,7 +409,7 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
         failed[rows[~np.isfinite(znew)]] = True
         live = live[~failed[rows]]
     settled[failed] = False
-    return z, p, dp, scale, settled
+    return z, p, scale, settled
 
 
 def _chunks(z: np.ndarray, count: int):
@@ -496,21 +494,17 @@ def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
     (the check of _aberth): most roots of a monomial model already meet the
     rounding bound in the basis, and only the starts that do not enter the
     steps that carry P'.  Returns the roots with their residuals and
-    inclusion radii, whether each root settled on a ground of ZeroSet, and
-    whether each row is proven: every root so certified and the row's disks
-    pairwise disjoint.
+    inclusion radii, whether each root settled, which certifies it on a
+    ground of ZeroSet, and whether each row is proven: every root settled
+    and the row's disks pairwise disjoint.
     """
-    z, p, dp, scale, settled = _aberth(
+    z, p, scale, settled = _aberth(
         functools.partial(eval_poly, basis, etas, derivs=True), z0,
         check=functools.partial(eval_poly, basis, etas))
-    res = _residual(p, scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = p / dp
     rad, gap = _inclusion_radii(basis, etas, z, p, scale)
-    certified = settled & ((res <= RESIDUAL_SCALE) | _tiny(newton, z))
     # |z_i - z_j| >= gap_i > rad_i + max_k rad_k: the disks are disjoint
-    proven = (certified & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
-    return z, res, rad, certified, proven
+    proven = (settled & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
+    return z, _residual(p, scale), rad, settled, proven
 
 
 def _coefficients(basis: OpucBasis, eta, ndims) -> np.ndarray:
@@ -527,15 +521,15 @@ def _coefficients(basis: OpucBasis, eta, ndims) -> np.ndarray:
 
 def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
     n = basis.order
-    if n == 0:
-        return [ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
-                        np.zeros(0)) for _ in etas]
     found: list = [None] * etas.shape[0]
     lead = np.abs(etas[:, -1])
     for t in np.flatnonzero(lead <= DEGENERATE_LEAD):
         found[t] = DegenerateLeadingCoefficient(
             f"|leading coefficient| = {lead[t]:.3e}")
     todo = np.flatnonzero(lead > DEGENERATE_LEAD)
+    if n == 0:  # a nonzero constant has no roots
+        return [f or ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
+                             np.zeros(0)) for f in found]
     z, res, rad, _, proven = _settle(basis, etas[todo], _starts(basis, etas[todo]))
     for k in np.flatnonzero(proven):
         found[todo[k]] = ZeroSet(z[k], res[k], rad[k])
@@ -549,15 +543,13 @@ def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
             found[t] = NoConvergence(f"comrade eigenvalues failed: {exc}")
     if not redo:
         return found
-    z, res, rad, certified, proven = _settle(basis, etas[redo], np.array(starts))
+    z, res, rad, settled, proven = _settle(basis, etas[redo], np.array(starts))
     for k, t in enumerate(redo):
-        if proven[k]:
-            found[t] = ZeroSet(z[k], res[k], rad[k])
-        elif certified[k].all():  # disks overlap, as at a multiple zero
-            found[t] = ZeroSet(z[k], res[k], np.zeros(n))
+        if settled[k].all():  # radii 0 where disks overlap, as at a multiple zero
+            found[t] = ZeroSet(z[k], res[k], rad[k] if proven[k] else np.zeros(n))
         else:
             found[t] = NoConvergence(
-                f"{np.count_nonzero(~certified[k])} of {n} roots not certified "
+                f"{np.count_nonzero(~settled[k])} of {n} roots not certified "
                 f"after {ABERTH_STEPS} Aberth steps from the comrade eigenvalues")
     return found
 
@@ -571,11 +563,12 @@ def roots(basis: OpucBasis, eta):
     on eta from one of three starts: the roots of each row's monomial model
     (see _starts), the unit circle where a row's samples spread by more
     than 1/sqrt(eps), and, for the rows that this does not prove, their
-    comrade eigenvalues.  A row's roots are proven when each meets a
-    ground of ZeroSet and the row's inclusion disks are pairwise disjoint.
-    A row that is not proven from its eigenvalues is refused, unless its
-    roots all meet a ground and only the disks overlap (radii 0).  A row's
-    result never depends on the other rows of its block.
+    comrade eigenvalues.  A root is certified by the test that stops the
+    iteration: a residual of at most 4 (n+1) eps, or a last Newton
+    correction of at most 8 ulps of max(1, |z|) (see ZeroSet).  A row is
+    proven when its roots are certified and its inclusion disks pairwise
+    disjoint; one not proven from its eigenvalues is refused, unless only
+    its disks overlap (radii 0).  No row depends on the others in its block.
 
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per

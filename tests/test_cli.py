@@ -412,6 +412,25 @@ def test_bad_threads_env(capsys, monkeypatch, tmp_path):
         assert "OPUCZ_THREADS" in err and "--threads" not in err
 
 
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch):
+    # seeds 5 and 2^64 + 5 would run one ensemble under two names
+    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    args = ["--alphas", "zero", "--trials", "2", "--threads", "1",
+            "--out", str(tmp_path / "x")]
+    simulate = ["simulate", *args, "--n", "5", "--region", "annulus:0:0.5"]
+    convergence = ["convergence", *args, "--ns", "5",
+                   "--region", "sector:0.5:0:1"]
+    for seed in ("-5", str(2 ** 64 + 5)):
+        for command in (simulate, convergence):
+            code, _, err = run(capsys, *command, "--seed", seed)
+            assert code == 2 and "--seed" in err
+    for seed in ("0", str(2 ** 64 - 1)):
+        code, _, _ = run(capsys, *simulate, "--seed", seed)
+        assert code == 0
+        summary = json.loads((tmp_path / "x.summary.json").read_text())
+        assert summary["seed"] == int(seed)
+
+
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     base = {"alphas": "zero", "n": 5, "region": "annulus:0:0.5", "trials": 4,

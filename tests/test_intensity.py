@@ -296,6 +296,14 @@ def test_rho2_at_lowest_degrees():
         assert abs(rho2_n(b, z, w, n=2).value - want) <= 1e-11 * max(1.0, want)
 
 
+def test_default_degree_is_the_basis_order():
+    # without n, both intensities read phi_0..phi_n of a degree-n basis
+    b = alpha_family("decay:1:1").build(12)
+    z, w = 0.3 + 0.2j, -0.4 + 0.1j
+    assert rho1_n(b, z) == rho1_n(b, z, n=12)
+    assert rho2_n(b, z, w) == rho2_n(b, z, w, n=12)
+
+
 def _mp_rho(basis, points, n):
     """Oracle: the conditioning formula per(C - B^H A^-1 B) / det(pi A) on
     the kernels of phi_0..phi_n, in 50-digit arithmetic from the basis's own

@@ -240,6 +240,45 @@ def test_convergence_validations():
         convergence_study(fam, model, Region.annulus(0, 0.5), [10, 20], 10, 0)
 
 
+def test_seeds_outside_64_bits_are_refused():
+    # a seed is a Philox key of 64 bits: 2^64 + 5 would run seed 5's
+    # ensemble and -5 seed 2^64 - 5's under another name.  Both ends of
+    # [0, 2^64) run
+    fam, model = alpha_family("zero"), coeff_model("gaussian")
+    basis = fam.build(5)
+    for seed in (-5, -1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(UsageError, match="seed"):
+            run_ensemble(basis, model, Region.annulus(0.0, 0.5), 2, seed)
+        with pytest.raises(UsageError, match="seed"):
+            convergence_study(fam, model, QUARTER, [5], 2, seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert run_ensemble(basis, model, Region.annulus(0.0, 0.5), 2,
+                            seed).seed == seed
+        assert convergence_study(fam, model, QUARTER, [5], 2,
+                                 seed)[0].stats.seed == seed
+
+
+def test_convergence_builds_each_degree_as_simulate_does(monkeypatch):
+    # weight:cosine's alphas(n) is not a bit-exact prefix of alphas(m), so
+    # every degree is built on its own, the basis `simulate --n` runs
+    fam = alpha_family("weight:cosine")
+    queued = []
+    solve = mc._solve
+
+    def spy(jobs, workers):
+        queued.extend(job[0] for job in jobs)
+        return solve(jobs, workers)
+
+    monkeypatch.setattr(mc, "_solve", spy)
+    convergence_study(fam, coeff_model("gaussian"), QUARTER, [10, 40, 80],
+                      trials=2, seed=1)
+    for n in (10, 40, 80):
+        want = fam.build(n).alphas
+        got = [b.alphas for b in queued if b.order == n]
+        assert got and all(a.dtype == want.dtype and a.tobytes() == want.tobytes()
+                           for a in got)
+
+
 def test_slow_decay_uses_eps_envelope():
     # decay:1:0.25 keeps eps_n large, so the second envelope must switch;
     # eps_n is the regularity report's last epsilon, to the bit

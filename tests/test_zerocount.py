@@ -71,6 +71,19 @@ def test_degenerate_leading_coefficient():
         roots(*_plain([1, 2, 1e-310]))
 
 
+def test_degree_zero_checks_the_leading_coefficient():
+    # at degree 0 the leading coefficient is eta_0: P = 0 is refused as at
+    # any degree, as the contour count refuses it; a constant has no roots
+    basis = alpha_family("zero").build(0)
+    with pytest.raises(DegenerateLeadingCoefficient):
+        roots(basis, [0.0])
+    with pytest.raises(DegenerateLeadingCoefficient):
+        count_by_argument_principle(basis, [0.0], Region.annulus(0.0, 0.5))
+    ok, zero = roots(basis, [[1.0], [0.0]])
+    assert ok.roots.size == ok.residuals.size == ok.radii.size == 0
+    assert isinstance(zero, DegenerateLeadingCoefficient)
+
+
 def test_conjugation_symmetry_real_coefficients():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -219,6 +232,30 @@ def test_certified_by_newton_correction(monkeypatch):
         roots(basis, eta)
 
 
+@pytest.mark.parametrize("fam,n,restarts", [
+    ("zero", 100, False), ("decay:1:1", 100, False),
+    ("weight:jacobi:pi:1", 100, False),
+    ("constant:0.5", 100, False),  # every row starts on the circle
+    ("constant:0.5", 300, True)])  # rows restart from comrade eigenvalues
+def test_returned_roots_meet_the_stop_test(monkeypatch, fam, n, restarts):
+    # the test that stops the iteration is the whole certificate: at each
+    # returned root, evaluated again, |P| is within the rounding bound or
+    # the Newton correction is at most STEP_ULPS ulps of max(1, |z|)
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(42, t)) for t in range(8)])
+    comrade, eigen = zerocount._comrade, []
+    monkeypatch.setattr(zerocount, "_comrade",
+                        lambda basis, eta: eigen.append(eta) or comrade(basis, eta))
+    for eta, zs in zip(etas, roots(basis, etas)):
+        p, dp, scale = eval_poly(basis, eta, zs.roots, derivs=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = p / dp
+        assert np.all((np.abs(p) <= zerocount._roundoff(n, scale))
+                      | zerocount._tiny(newton, zs.roots))
+    assert bool(eigen) == restarts
+
+
 def _mp_poly(alphas, eta, z):
     """(P, P', sum_k |eta_k| |phi_k|) at z by the recursion, in mpmath."""
     z = mpmath.mpc(z)
@@ -307,7 +344,7 @@ def test_double_root_refused_by_disjoint_disks():
     # near 0 share one double zero, so their inclusion disks overlap and the
     # comrade matrix answers instead (radii 0, both roots exactly 0)
     basis, eta = _plain([0, 0, -1, 1])
-    z, p, dp, scale, settled = zerocount._aberth(
+    z, p, scale, settled = zerocount._aberth(
         functools.partial(eval_poly, basis, eta[None], derivs=True),
         zerocount._starts(basis, eta[None]))
     assert settled.all()
@@ -479,10 +516,9 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
                          (in_basis, circle),
                          (in_basis, zerocount._starts(basis, etas))):
         got = zerocount._aberth(evaluate, z0)
-        want = _aberth_oracle(evaluate, z0)
-        for g, w in zip(got, want):
+        z, p, _, scale, settled = _aberth_oracle(evaluate, z0)
+        for g, w in zip(got, (z, p, scale, settled)):
             assert _bits(g) == _bits(w)
-    z, p, _, scale, _ = want
     rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
     for g, w in zip(zerocount._inclusion_radii(basis, etas, z, p, scale),
                     (rad, gap)):
@@ -996,7 +1032,9 @@ def test_row_with_vanishing_model_derivative_keeps_the_circle(monkeypatch, n):
 
 def _settle_oracle(basis, etas, z0):
     """zerocount._settle without the value-only check: every start enters
-    the Aberth steps that carry P'."""
+    the Aberth steps that carry P'.  Each settled root is tested once more,
+    for a residual of at most 1e-8 or a Newton correction of at most 8 ulps:
+    every root the stop test settles passes it, so the verdicts agree."""
     with np.errstate(invalid="ignore"):  # NaN starts
         z, p, dp, scale, settled = _aberth_oracle(
             functools.partial(eval_poly, basis, etas, derivs=True), z0)
@@ -1004,8 +1042,7 @@ def _settle_oracle(basis, etas, z0):
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = p / dp
     rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
-    certified = settled & ((res <= zerocount.RESIDUAL_SCALE)
-                           | zerocount._tiny(newton, z))
+    certified = settled & ((res <= 1e-8) | zerocount._tiny(newton, z))
     proven = (certified & (gap > rad + rad.max(axis=1, keepdims=True))).all(axis=1)
     return z, res, rad, certified, proven
 
