@@ -60,10 +60,29 @@ def _check_alphas(alphas) -> np.ndarray:
 @dataclass
 class OpucBasis:
     """Orthonormal basis phi_0..phi_n, held as its recurrence coefficients
-    alpha_0..alpha_{n-1} and the leading coefficients kappa_0..kappa_n."""
+    alpha_0..alpha_{n-1}.
 
-    kappas: np.ndarray
+    The step factors depend on the coefficients alone, so they are computed
+    once, here, with one rounding, and every evaluator reads them:
+    rho_j = sqrt(1 - |alpha_j|^2) (rho), conj(alpha_j) (alpha_bar), and
+    the Python triples (alpha_j, conj(alpha_j), 1 / rho_j) (steps) that
+    values_at and eval_poly walk.  The leading coefficients come from them
+    too: kappa_0 = 1 and kappa_{j+1} = kappa_j / rho_j.
+    """
+
     alphas: np.ndarray
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_bar: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: list = field(init=False, repr=False, compare=False)
+    kappas: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        a = self.alphas
+        self.rho = np.sqrt(1.0 - np.abs(a) ** 2)
+        self.alpha_bar = a.conj()
+        self.steps = list(zip(a.tolist(), self.alpha_bar.tolist(),
+                              (1.0 / self.rho).tolist()))
+        self.kappas = np.divide.accumulate(np.concatenate(([1.0], self.rho)))
 
     @property
     def order(self) -> int:
@@ -72,22 +91,18 @@ class OpucBasis:
     def values_at(self, z: complex, upto: int = None, derivs: bool = False):
         """phi_j(z) and phi_j*(z) for j = 0..upto, by recursion in value space.
 
-        O(upto) and stable.  Returns (phi, phi*) or, with derivs,
-        (phi, phi*, phi', phi*').
+        O(upto) and stable; each step multiplies by the basis's 1 / rho_j.
+        Returns (phi, phi*) or, with derivs, (phi, phi*, phi', phi*').
         """
         m = self.order if upto is None else upto
         if m < 0 or m > self.order:
             raise UsageError(f"degree {m} not held by a degree-{self.order} basis")
         z = complex(z)
-        # Python scalars: numpy scalar arithmetic would dominate the loop.
-        # numpy divides by a real norm as x * (1/norm), so multiplying by
-        # s = 1/norm gives its values; Python's x / norm rounds differently.
+        # Python scalars: numpy scalar arithmetic would dominate the loop
         f = g = 1 + 0j
         df = dg = 0j
         phi, ps, dphi, dps = [f], [g], [df], [dg]
-        for aj in self.alphas[:m].tolist():
-            s = 1.0 / math.sqrt(1.0 - abs(aj) ** 2)
-            caj = aj.conjugate()
+        for aj, caj, s in self.steps[:m]:
             if derivs:
                 d = f + z * df
                 df, dg = (d - caj * dg) * s, (dg - aj * d) * s
@@ -111,11 +126,7 @@ def szego_build(alphas, n: int) -> OpucBasis:
         raise UsageError("degree must be >= 0")
     if a.size < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {a.size}")
-    a = a[:n]
-    kappas = [1.0]
-    for aj in a:
-        kappas.append(kappas[-1] / math.sqrt(1.0 - abs(aj) ** 2))
-    return OpucBasis(np.asarray(kappas), a)
+    return OpucBasis(a[:n])
 
 
 def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
@@ -142,9 +153,11 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
     phi and phi*, each with its derivative, step together in one stacked
     array: a degree step is a fixed handful of ufunc calls into buffers and
     views bound once per call, and a block's coefficient columns are
-    gathered into one buffer each.  Every point still gets the operations
-    of the plain two-array recursion, in the same order and with the same
-    operand order, so the values are bit-identical to it.
+    gathered into one buffer each.  Each step reads the basis's conj(alpha_j)
+    and 1 / rho_j, and multiplies the float view by 1 / rho_j, which gives
+    the bits of numpy's division by rho_j.  Every point still gets the
+    operations of the plain two-array recursion, in the same order and with
+    the same operand order, so the values are bit-identical to it.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -189,11 +202,9 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
         size, term = np.empty(z.shape), np.empty(shape)
     a = basis.alphas
     # each step's (conj alpha_j, alpha_j), shaped to broadcast against fg
-    pairs = np.stack((a.conj(), a), axis=1).reshape(
+    pairs = np.stack((basis.alpha_bar, a), axis=1).reshape(
         a.shape + (2,) + (1,) * (fg.ndim - 1))
-    # x * (1/norm) on the float view: the values of numpy's x / norm, cheaper
-    inv = 1.0 / np.sqrt(1.0 - np.abs(a) ** 2)
-    for pair, s, ej in zip(pairs, inv.tolist(), coefs):
+    for pair, (_, _, s), ej in zip(pairs, basis.steps, coefs):
         np.multiply(zw_w, fg, out=x)  # (zw f, w g)
         if derivs:
             np.multiply(w, f0, out=y00)

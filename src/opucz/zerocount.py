@@ -205,19 +205,18 @@ def _comrade(basis: OpucBasis, eta: np.ndarray) -> np.ndarray:
 
     Column l of the GGT matrix G holds z phi_l in the basis phi_0..phi_n:
     G[k, l] = -conj(alpha_l) alpha_{k-1} rho_k ... rho_{l-1} for k <= l
-    (alpha_{-1} = -1) and G[l+1, l] = rho_l = sqrt(1 - |alpha_l|^2)
+    (alpha_{-1} = -1) and G[l+1, l] = rho_l, the basis's step factor
     (Simon, OPUC Vol. 1, 4.1).  Modulo P, phi_n = -sum_{k<n} eta_k phi_k /
     eta_n, which changes the last column by -rho_{n-1} eta[:n] / eta[n].
     The matrix is returned index-reversed and transposed, the layout of
     np.roots' companion matrix, which it equals for alpha = 0.
     """
-    a = basis.alphas
+    a, rho = basis.alphas, basis.rho
     n = a.size
-    rho = np.sqrt(1.0 - np.abs(a) ** 2)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     runs = np.cumprod(np.where(upper, np.concatenate(([1.0], rho[:-1])), 1.0), axis=1)
     prev = np.concatenate(([-1.0], a[:-1]))
-    m = np.triu(-np.outer(prev, np.conj(a)) * runs)
+    m = np.triu(-np.outer(prev, basis.alpha_bar) * runs)
     m[np.arange(1, n), np.arange(n - 1)] = rho[:-1]
     m[:, -1] -= rho[-1] * eta[:-1] / eta[-1]
     return m[::-1, ::-1].T
@@ -530,6 +529,13 @@ def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
     if n == 0:  # a nonzero constant has no roots
         return [f or ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
                              np.zeros(0)) for f in found]
+    # each row times the power of two that brings its largest real or
+    # imaginary part into [1/2, 1): exact, so the roots, residuals and radii
+    # are the row's own, and coefficients near the ends of the double range
+    # cannot overflow or underflow the evaluations
+    v = np.ascontiguousarray(etas).view(np.float64)
+    e = np.frexp(np.abs(v).max(axis=1, keepdims=True))[1]
+    etas = np.ldexp(v, -e).view(np.complex128)
     z, res, rad, _, proven = _settle(basis, etas[todo], _starts(basis, etas[todo]))
     for k in np.flatnonzero(proven):
         found[todo[k]] = ZeroSet(z[k], res[k], rad[k])
@@ -568,7 +574,9 @@ def roots(basis: OpucBasis, eta):
     correction of at most 8 ulps of max(1, |z|) (see ZeroSet).  A row is
     proven when its roots are certified and its inclusion disks pairwise
     disjoint; one not proven from its eigenvalues is refused, unless only
-    its disks overlap (radii 0).  No row depends on the others in its block.
+    its disks overlap (radii 0).  No row depends on the others in its block,
+    and a row times a power of two that rounds none of its entries gives
+    the same bits.
 
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from opucz import zerocount
 from opucz.errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
@@ -99,6 +100,43 @@ def test_eval_poly_matches_values_at():
             got = (p[k] * unscale, dp[k] * unscale, scale[k] * abs(unscale))
             for g, w, m in zip(got, want, mass):
                 assert abs(g - w) <= 1e-12 * m
+
+
+def test_values_at_and_eval_poly_read_one_step_factor():
+    # Python's abs(a) ** 2 and numpy's np.abs(a) ** 2 round this alpha_0
+    # differently; at degree 1 both evaluators run the same operations, so
+    # they agree bit for bit only if they read the same 1 / rho_0
+    b = szego_build([0.7341595062814762 + 0.012633565310518792j], 1)
+    z = 0.3 + 0.2j
+    assert b.values_at(z)[0][1] == eval_poly(b, [0, 1], [z], scale=False)[0][0]
+
+
+def test_evaluators_take_no_square_root(monkeypatch):
+    # the step factors are computed once, when the basis is built: an
+    # evaluation takes no square root and returns the same bits
+    b = alpha_family("decay:1:0.25").build(160)
+    rng = np.random.default_rng(12)
+    eta = rng.standard_normal(161) + 1j * rng.standard_normal(161)
+    z = np.array([0.3 + 0.2j, -0.9j, 1.0, 1.4 - 0.3j])
+    calls = (lambda: b.values_at(0.3 + 0.2j),
+             lambda: b.values_at(1.4 - 0.3j, derivs=True),
+             lambda: b.values_at(-0.9j, upto=40, derivs=True),
+             lambda: eval_poly(b, eta, z),
+             lambda: eval_poly(b, eta, z, derivs=True),
+             lambda: (zerocount._comrade(b, eta),))
+    want = [f() for f in calls]
+    taken = []
+    for mod in (math, np):
+        def counted(*args, real=mod.sqrt, **kw):
+            taken.append(args)
+            return real(*args, **kw)
+        monkeypatch.setattr(mod, "sqrt", counted)
+    got = [f() for f in calls]
+    assert taken == []
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for x, y in zip(g, w):
+            assert np.array_equal(x, y)
 
 
 def test_eval_poly_block_rows_match_single_vectors():

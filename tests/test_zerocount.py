@@ -293,6 +293,23 @@ def test_roots_agree_with_mpmath_oracle(fam):
             assert abs(exact - z) <= 1e-14 * max(1.0, abs(z)), (fam, z)
 
 
+@pytest.mark.parametrize("fam, n", [("constant:0.5", 60), ("zero", 50)])
+@pytest.mark.parametrize("power", [996, 1019, -830])
+def test_roots_are_scale_invariant(fam, n, power):
+    # the roots of 2^k P are those of P: a block scaled by a power of two
+    # near the ends of the double range gives the unscaled block's bits,
+    # with no overflow on the way
+    basis = alpha_family(fam).build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"), trial_seed(3, t))
+                     for t in range(3)])
+    want = roots(basis, etas)
+    for got, w in zip(roots(basis, etas * 2.0 ** power), want):
+        assert isinstance(w, zerocount.ZeroSet) and (w.radii > 0).all()
+        for x, y in zip((got.roots, got.residuals, got.radii),
+                        (w.roots, w.residuals, w.radii)):
+            assert np.array_equal(x, y)
+
+
 def test_block_rows_match_rows_alone():
     # a row's roots never depend on the rest of its block, whichever route
     # answered it: the comrade matrix for z^2 (z - 1), none for the last row
