@@ -142,16 +142,9 @@ def _out(value) -> str:
 
 
 def _threads(value) -> int:
-    """The worker count; the OPUCZ_THREADS environment variable wins."""
-    env = os.environ.get("OPUCZ_THREADS")
-    try:
-        k = _integer(value if env is None else env)
-        if k < 1:
-            raise ValueError(f"thread count must be >= 1, got {k}")
-    except ValueError as e:
-        if env is None:
-            raise
-        raise UsageError(f"OPUCZ_THREADS: {e}") from None
+    """The worker count, at least 1."""
+    if (k := _integer(value)) < 1:
+        raise ValueError(f"thread count must be >= 1, got {k}")
     return k
 
 

@@ -60,7 +60,8 @@ def _check_alphas(alphas) -> np.ndarray:
 @dataclass
 class OpucBasis:
     """Orthonormal basis phi_0..phi_n, held as its recurrence coefficients
-    alpha_0..alpha_{n-1}.
+    alpha_0..alpha_{n-1}, refused (InvalidVerblunsky) unless each has
+    modulus < 1, however the basis is built.
 
     The step factors depend on the coefficients alone, so they are computed
     once, here, with one rounding, and every evaluator reads them:
@@ -77,7 +78,7 @@ class OpucBasis:
     kappas: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        a = self.alphas
+        a = self.alphas = _check_alphas(self.alphas)
         self.rho = np.sqrt(1.0 - np.abs(a) ** 2)
         self.alpha_bar = a.conj()
         self.steps = list(zip(a.tolist(), self.alpha_bar.tolist(),
@@ -499,18 +500,20 @@ class AlphaFamily:
 
 
 def parse_scalar(token: str, what: str) -> float:
-    """Finite float literal, optionally using 'pi' (pi, 2pi, pi/2, 0.5pi...);
-    nan and inf are refused."""
-    t = token.strip().lower()
+    """Finite float literal, or a multiple of pi (or π) written <c>pi or
+    [+-]pi/<d>: pi, -pi, 2pi, -0.5pi, pi/2, -pi/2; nan and inf are
+    refused."""
+    head, pi, tail = token.strip().lower().replace("π", "pi").partition("pi")
+    bare = head in ("", "+", "-")  # no number before pi, at most a sign
     try:
-        if t in ("pi", "π"):
-            x = math.pi
-        elif t.endswith("pi"):
-            x = float(t[:-2] or "1") * math.pi
-        elif t.startswith("pi/"):
-            x = math.pi / float(t[3:])
+        if not pi:
+            x = float(head)
+        elif bare and tail.startswith("/"):
+            x = float(head + "1") * math.pi / float(tail[1:])
+        elif not tail:
+            x = float(head + "1" if bare else head) * math.pi
         else:
-            x = float(t)
+            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{what}: not a number: {token!r}") from None
     if not math.isfinite(x):

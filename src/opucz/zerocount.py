@@ -506,36 +506,39 @@ def _settle(basis: OpucBasis, etas: np.ndarray, z0: np.ndarray):
     return z, _residual(p, scale), rad, settled, proven
 
 
-def _coefficients(basis: OpucBasis, eta, ndims) -> np.ndarray:
-    """eta as complex, refused unless it has one of the dimensions ndims,
-    rows of basis.order + 1 entries, and only finite entries."""
+def _coefficients(basis: OpucBasis, eta, ndims):
+    """The one intake of roots and count_by_argument_principle.
+
+    eta is refused (UsageError) unless it has one of the dimensions ndims,
+    rows of basis.order + 1 entries, and only finite entries.  Returns its
+    rows, each times the power of two that brings its largest real or
+    imaginary part into [1/2, 1) -- exact, so the roots, residuals, radii
+    and P'/P are the row's own, and no evaluation overflows -- and per row
+    None or the DegenerateLeadingCoefficient that refuses it, read as given.
+    """
     eta = np.asarray(eta, dtype=np.complex128)
     if eta.ndim not in ndims or eta.shape[-1] != basis.order + 1:
         raise UsageError(f"coefficients of shape {eta.shape} for a "
                          f"degree-{basis.order} basis")
     if not np.isfinite(eta).all():
         raise UsageError("coefficients must be finite, got NaN or infinity")
-    return eta
+    rows = eta.reshape(-1, basis.order + 1)
+    refused = [DegenerateLeadingCoefficient(f"|leading coefficient| = {x:.3e}")
+               if x <= DEGENERATE_LEAD else None
+               for x in np.abs(rows[:, -1]).tolist()]
+    v = np.ascontiguousarray(rows).view(np.float64)
+    e = np.frexp(np.abs(v).max(axis=1, keepdims=True))[1]
+    return np.ldexp(v, -e).view(np.complex128), refused
 
 
-def _block_roots(basis: OpucBasis, etas: np.ndarray) -> list:
+def _block_roots(basis: OpucBasis, etas: np.ndarray, found: list) -> list:
+    """found with a ZeroSet or the error that refused it in place of each
+    None, for the rows of etas that _coefficients returned."""
     n = basis.order
-    found: list = [None] * etas.shape[0]
-    lead = np.abs(etas[:, -1])
-    for t in np.flatnonzero(lead <= DEGENERATE_LEAD):
-        found[t] = DegenerateLeadingCoefficient(
-            f"|leading coefficient| = {lead[t]:.3e}")
-    todo = np.flatnonzero(lead > DEGENERATE_LEAD)
+    todo = np.flatnonzero([f is None for f in found])
     if n == 0:  # a nonzero constant has no roots
         return [f or ZeroSet(np.zeros(0, dtype=np.complex128), np.zeros(0),
                              np.zeros(0)) for f in found]
-    # each row times the power of two that brings its largest real or
-    # imaginary part into [1/2, 1): exact, so the roots, residuals and radii
-    # are the row's own, and coefficients near the ends of the double range
-    # cannot overflow or underflow the evaluations
-    v = np.ascontiguousarray(etas).view(np.float64)
-    e = np.frexp(np.abs(v).max(axis=1, keepdims=True))[1]
-    etas = np.ldexp(v, -e).view(np.complex128)
     z, res, rad, _, proven = _settle(basis, etas[todo], _starts(basis, etas[todo]))
     for k in np.flatnonzero(proven):
         found[todo[k]] = ZeroSet(z[k], res[k], rad[k])
@@ -584,9 +587,8 @@ def roots(basis: OpucBasis, eta):
     Coefficients that are not all finite raise UsageError, for one vector
     or a whole block, before any work.
     """
-    eta = _coefficients(basis, eta, (1, 2))
-    found = _block_roots(basis, eta.reshape(-1, basis.order + 1))
-    if eta.ndim == 2:
+    found = _block_roots(basis, *_coefficients(basis, eta, (1, 2)))
+    if np.ndim(eta) == 2:
         return found
     if isinstance(found[0], ComputationError):
         raise found[0]
@@ -664,16 +666,15 @@ def count_by_argument_principle(basis: OpucBasis, eta, region: Region) -> int:
     non-integer results.
 
     The boundary arcs are integrated by locally adaptive composite
-    Gauss-Legendre panels.  A result farther than 0.1 from an integer,
-    panels that never stabilize, or more than _PANEL_BUDGET panels raise
-    BoundaryProximity -- the signal that a zero sits essentially on the
-    boundary.  Coefficients that are not one finite vector of
-    basis.order + 1 entries raise UsageError.
+    Gauss-Legendre panels, on the row that roots solves (see _coefficients).
+    A result farther than 0.1 from an integer, panels that never stabilize,
+    or more than _PANEL_BUDGET panels raise BoundaryProximity -- the signal
+    that a zero sits essentially on the boundary.  Coefficients that are
+    not one finite vector of basis.order + 1 entries raise UsageError.
     """
-    eta = _coefficients(basis, eta, (1,))
-    if abs(eta[-1]) <= DEGENERATE_LEAD:
-        raise DegenerateLeadingCoefficient(
-            f"|leading coefficient| = {abs(eta[-1]):.3e}")
+    (eta,), (refused,) = _coefficients(basis, eta, (1,))
+    if refused:
+        raise refused
     total, settled = _contour_integral(basis, eta, region.boundary_arcs())
     w = total / (2j * math.pi)
     if not settled or not np.isfinite(w) \

@@ -160,18 +160,20 @@ def test_simulate_artifacts_and_rerun(tmp_path, capsys):
 
 
 def test_simulate_thread_count_invariance(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+    # --threads alone sets the worker count: the environment is not read
+    monkeypatch.setenv("OPUCZ_THREADS", "5")
     args = ["simulate", "--alphas", "zero", "--n", "10", "--region",
             "annulus:0:0.6", "--trials", "30", "--seed", "7"]
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "t1"),
                      "--threads", "1")
     assert code == 0
+    s1 = json.loads((tmp_path / "t1.summary.json").read_text())
+    assert s1["config"]["threads"] == 1 and s1["timing"]["processes"] == 1
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "t2"),
                      "--threads", "2")
     assert code == 0
-    monkeypatch.setenv("OPUCZ_THREADS", "3")
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "t3"),
-                     "--threads", "1")  # env var wins over the flag
+                     "--threads", "3")
     assert code == 0
     c1 = (tmp_path / "t1.counts.csv").read_bytes()
     assert c1 == (tmp_path / "t2.counts.csv").read_bytes()
@@ -259,7 +261,6 @@ def test_convergence_artifacts(tmp_path, capsys):
 def test_pooled_convergence_prints_its_csv(tmp_path, capsys, monkeypatch):
     # with a helper forked from this process, stdout is still the CSV,
     # byte for byte, and the same CSV as one worker writes
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     monkeypatch.setattr(mc, "_cpus", lambda: 2)
     argv = ["convergence", "--alphas", "zero", "--region",
             "sector:0.5:0:pi/2", "--ns", "10,20", "--trials", "70", "--seed",
@@ -389,7 +390,6 @@ def test_computation_error_exit_1(capsys):
 
 
 def test_audit_mismatch_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     monkeypatch.setattr(mc, "count_by_argument_principle",
                         lambda basis, eta, region:
                         count_in_region(roots(basis, eta), region) + 1)
@@ -401,20 +401,19 @@ def test_audit_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.summary.json").exists()
 
 
-def test_bad_threads_env(capsys, monkeypatch, tmp_path):
-    # a count below 1 names the variable too, not the flag it overrides
-    for env in ("many", "0", "-1"):
-        monkeypatch.setenv("OPUCZ_THREADS", env)
+def test_bad_threads_flag(capsys, tmp_path):
+    # a count that is not an integer, or is below 1, names the flag
+    for threads in ("many", "0", "-1"):
         code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "5",
                            "--region", "annulus:0:0.5", "--trials", "4",
-                           "--out", str(tmp_path / "x"))
+                           "--threads", threads, "--out", str(tmp_path / "x"))
         assert code == 2
-        assert "OPUCZ_THREADS" in err and "--threads" not in err
+        assert "--threads" in err
+    assert not (tmp_path / "x.summary.json").exists()
 
 
-def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch):
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys):
     # seeds 5 and 2^64 + 5 would run one ensemble under two names
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     args = ["--alphas", "zero", "--trials", "2", "--threads", "1",
             "--out", str(tmp_path / "x")]
     simulate = ["simulate", *args, "--n", "5", "--region", "annulus:0:0.5"]
@@ -431,8 +430,7 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch):
         assert summary["seed"] == int(seed)
 
 
-def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+def test_bad_config_values_exit_2(tmp_path, capsys):
     base = {"alphas": "zero", "n": 5, "region": "annulus:0:0.5", "trials": 4,
             "seed": 1, "threads": 1, "out": str(tmp_path / "x")}
     conv = {"alphas": "zero", "region": "sector:0.5:0:1", "ns": [5, 10],
@@ -492,8 +490,7 @@ def test_config_null_takes_default(tmp_path, capsys):
     assert summary["config"]["seed"] == 0
 
 
-def test_integral_config_numbers_accepted(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
+def test_integral_config_numbers_accepted(tmp_path, capsys):
     cfg = {"alphas": "zero", "n": 5.0, "region": "annulus:0:0.5",
            "trials": "4", "seed": 1, "threads": 1.0}
     path = tmp_path / "ok.json"

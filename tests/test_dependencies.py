@@ -1,7 +1,8 @@
 """The package imports only the standard library, numpy and itself;
 scipy, mpmath and pytest-benchmark belong in tests and benches.  No module
-imports a sibling's private name.  An ensemble run, pool helpers included,
-loads none of the modules it does not execute."""
+imports a sibling's private name or reads the environment.  An ensemble
+run, pool helpers included, loads none of the modules it does not
+execute."""
 import ast
 import json
 import os
@@ -78,6 +79,30 @@ def test_no_module_imports_a_siblings_private_name():
     assert not found
 
 
+ENVIRONMENT_READERS = {"environ", "getenv", "putenv", "environb", "getenvb"}
+
+
+def _environment_uses(path):
+    """(line, name) for each reference to os.environ, os.getenv or
+    os.putenv (or their bytes forms), as an attribute or an imported name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name in ENVIRONMENT_READERS)
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes in through a flag or a --config file
+    sources = sorted(path for root in opucz.__path__
+                     for path in Path(root).glob("**/*.py"))
+    assert sources
+    found = [(path.name, line, name) for path in sources
+             for line, name in _environment_uses(path)]
+    assert not found
+
+
 # modules that no ensemble run executes: numpy.ma came from np.unique in the
 # Aberth loop, numpy.polynomial from leggauss, the rest from cli's imports
 NOT_LOADED = ("numpy.ma", "numpy.polynomial", "opucz.intensity",
@@ -90,7 +115,6 @@ def _imported(code: str, tmp_path) -> list:
     src = str(Path(list(opucz.__path__)[0]).parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    env.pop("OPUCZ_THREADS", None)
     r = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
                        cwd=tmp_path, env=env, capture_output=True, text=True,
                        timeout=300)

@@ -15,12 +15,14 @@ from opucz.errors import (
 )
 from opucz.opuc import (
     AlphaFamily,
+    OpucBasis,
     WeightSpec,
     alpha_family,
     eval_poly,
     gauss_jacobi,
     levinson_verblunsky,
     moments_from_weight,
+    parse_scalar,
     read_alpha_file,
     regularity_report,
     szego_build,
@@ -166,8 +168,9 @@ def _values_at_oracle(basis, z, upto=None, derivs=False):
     phi[0] = ps[0] = 1.0
     dphi = np.zeros(m + 1, dtype=np.complex128)
     dps = np.zeros(m + 1, dtype=np.complex128)
+    norms = np.sqrt(1.0 - np.abs(a) ** 2)
     for j in range(m):
-        norm = math.sqrt(1.0 - abs(a[j]) ** 2)
+        norm = norms[j]
         if derivs:
             dphi[j + 1] = (phi[j] + z * dphi[j] - np.conj(a[j]) * dps[j]) / norm
             dps[j + 1] = (dps[j] - a[j] * (phi[j] + z * dphi[j])) / norm
@@ -213,7 +216,8 @@ def _eval_poly_oracle(basis, eta, z, derivs=False, rows=None):
     return (p, dp, scale) if derivs else (p, scale)
 
 
-ORACLE_FAMILIES = ["zero", "constant:0.5", "decay:1:1", "weight:jacobi:pi:1"]
+ORACLE_FAMILIES = ["zero", "constant:0.5", "decay:1:1", "decay:1:0.25",
+                   "weight:jacobi:pi:1"]
 # inside, on and outside the unit circle, on the axes and off them
 ORACLE_POINTS = [0.0, 0.3, -0.7 + 0.2j, 0.5j, -1j, 1.0, 0.6 - 0.8j,
                  1.8 - 0.9j, -2.5, 40.0j]
@@ -308,6 +312,15 @@ def test_invalid_alpha_rejected():
         szego_build([0.2, 1.0], 2)
     with pytest.raises(InvalidVerblunsky):
         szego_build([1.2], 1)
+    # a basis built directly checks its coefficients as szego_build does
+    for bad in ([1.2], [0.1, np.nan]):
+        with pytest.raises(InvalidVerblunsky):
+            OpucBasis(np.array(bad))
+    direct, built = OpucBasis([0.1, 0.2]), szego_build([0.1, 0.2], 2)
+    assert direct.alphas.dtype == np.complex128
+    for name in ("alphas", "rho", "alpha_bar", "kappas"):
+        assert np.array_equal(getattr(direct, name), getattr(built, name))
+    assert direct.steps == built.steps
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0.1, np.nan), np.inf])
@@ -636,3 +649,15 @@ def test_pi_literals_in_grammar():
     fam = alpha_family("weight:jacobi:pi:1")
     assert isinstance(fam, AlphaFamily)
     assert fam.name == "weight:jacobi:pi:1"
+    # every pi form takes a leading sign
+    for token, want in [("pi", math.pi), ("+pi", math.pi), ("-pi", -math.pi),
+                        ("π", math.pi), ("-π", -math.pi), ("2pi", 2 * math.pi),
+                        ("-0.5pi", -0.5 * math.pi), ("pi/2", math.pi / 2),
+                        ("-pi/2", -math.pi / 2), ("+pi/4", math.pi / 4)]:
+        assert parse_scalar(token, "x") == want, token
+    for bad in ("--pi", "+-pi", "- pi", "2pi/3", "pipi", "pi/", "-pi/0", "p"):
+        with pytest.raises(UsageError, match="not a number"):
+            parse_scalar(bad, "x")
+    assert alpha_family("constant:-pi/4").alphas(3).tolist() == [-math.pi / 4] * 3
+    assert alpha_family("decay:-pi:2").alphas(2) == \
+        pytest.approx([-math.pi / 4, -math.pi / 9], rel=1e-15)

@@ -298,7 +298,7 @@ def test_roots_agree_with_mpmath_oracle(fam):
 def test_roots_are_scale_invariant(fam, n, power):
     # the roots of 2^k P are those of P: a block scaled by a power of two
     # near the ends of the double range gives the unscaled block's bits,
-    # with no overflow on the way
+    # with no overflow on the way, and the audit counts the same row
     basis = alpha_family(fam).build(n)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"), trial_seed(3, t))
                      for t in range(3)])
@@ -308,6 +308,10 @@ def test_roots_are_scale_invariant(fam, n, power):
         for x, y in zip((got.roots, got.residuals, got.radii),
                         (w.roots, w.residuals, w.radii)):
             assert np.array_equal(x, y)
+    region = Region.annulus(0.3, 0.9)
+    for eta in etas:
+        assert count_by_argument_principle(basis, eta * 2.0 ** power, region) \
+            == count_by_argument_principle(basis, eta, region)
 
 
 def test_block_rows_match_rows_alone():
