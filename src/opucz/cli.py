@@ -189,22 +189,16 @@ def _run_intensity(cfg: dict) -> int:
     return 0
 
 
-def _write_run(cfg: dict, command: str, t0: float, stats, files: dict,
-               **results) -> None:
+def _write_run(cfg: dict, command: str, t0: float, timing: dict,
+               files: dict, **results) -> None:
     """Write `<out><suffix>` for each of `files`, then `<out>.summary.json`
     (command, typed config, n/trials/seed/region, results, and under
-    `timing` the seconds since t0 and how the run's EnsembleStats `stats`
-    was solved: the processes that ran, their start method, and the blocks
-    each claimed and its peak resident set size in MB, this process
-    first)."""
+    `timing` the seconds since t0 followed by the run's EnsembleStats
+    `timing`: how mc._solve drained its queue)."""
     echoed = {k: cfg[k] for k in ("n", "trials", "seed", "region") if k in cfg}
-    timing = {"elapsed_seconds": time.perf_counter() - t0,
-              "processes": stats.processes,
-              "start_method": stats.start_method,
-              "blocks_claimed": list(stats.blocks_claimed),
-              "peak_rss_mb": list(stats.peak_rss_mb)}
     summary = {"command": command, "config": cfg, **echoed, **results,
-               "timing": timing}
+               "timing": {"elapsed_seconds": time.perf_counter() - t0,
+                          **timing}}
     files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
     for suffix, text in files.items():
         with open(cfg["out"] + suffix, "wb") as fh:
@@ -218,7 +212,7 @@ def _run_simulate(cfg: dict) -> int:
                          cfg["trials"], cfg["seed"], workers=cfg["threads"])
     counts = ["trial,count"] + [f"{t},{c}" for t, c in
                                 zip(stats.trial_indices, stats.counts)]
-    _write_run(cfg, "simulate", t0, stats,
+    _write_run(cfg, "simulate", t0, stats.timing,
                {".counts.csv": "\n".join(counts) + "\n"},
                mean=stats.mean, variance=stats.variance,
                se_mean=stats.se_mean, se_var=stats.se_var,
@@ -304,7 +298,7 @@ def _run_convergence(cfg: dict) -> int:
         ",".join([str(r.n)] + [_fmt(getattr(r, c))
                                for c in _CONVERGENCE_COLUMNS[1:]])
         for r in rows]
-    _write_run(cfg, "convergence", t0, rows[0].stats,
+    _write_run(cfg, "convergence", t0, rows[0].stats.timing,
                {".csv": "\n".join(csv_lines) + "\n",
                 ".svg": _convergence_svg(rows)},
                rows=[{c: getattr(r, c) for c in _CONVERGENCE_COLUMNS}

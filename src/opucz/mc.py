@@ -15,7 +15,9 @@ worker drains the queue alone with a plain local index.  Results are
 merged by job index, so the counts are identical for any worker count by
 construction.  A convergence study builds every degree's basis first and
 queues the blocks of all its degrees at once, largest degree first, so no
-process waits at a per-degree barrier.
+process waits at a per-degree barrier.  How the queue was drained is one
+`timing` mapping (see _solve), shared by every ensemble solved from it:
+the only part of an EnsembleStats that may change with the worker count.
 
 The rootfinder is the count of record; on a 1% subsample of trials (the
 indices divisible by AUDIT_STRIDE) the argument-principle count audits it,
@@ -137,20 +139,9 @@ class EnsembleStats:
     # the largest ZeroSet residual of a counted trial's roots; above 4(n+1)
     # eps only for a root certified by its Newton correction (see ZeroSet)
     worst_residual: float = 0.0
-    # the blocks that each process drained from the queue this ensemble was
-    # solved in (a convergence study queues every degree in one), this
-    # process first, and how its helpers were started: "fork", "spawn", or
-    # None when no helper ran
-    blocks_claimed: Tuple[int, ...] = ()
-    start_method: str = None
-    # each of those processes' peak resident set size in MB when its drain
-    # ended, in the same order; None where the platform has no `resource`
-    peak_rss_mb: Tuple[Optional[float], ...] = ()
-
-    @property
-    def processes(self) -> int:
-        """This process plus the helpers it started."""
-        return len(self.blocks_claimed)
+    # _solve's record of the queue this ensemble was solved in (a
+    # convergence study queues every degree in one, which share it)
+    timing: dict = None
 
 
 def _block_counts(job) -> tuple:
@@ -242,10 +233,12 @@ def _helper_drain(jobs: list) -> tuple:
 
 
 def _solve(jobs: list, workers: int) -> tuple:
-    """(_block_counts of every job in job order, the number of jobs each
-    process that ran drained, this one first, each one's _peak_rss_mb when
-    its drain ended, in the same order, and the helpers' start method or
-    None).
+    """(_block_counts of every job in job order, timing), where `timing`
+    holds "processes" (this one plus the helpers it started),
+    "start_method" ("fork", "spawn", or None when no helper ran),
+    "blocks_claimed" (the jobs each process drained, this one first) and
+    "peak_rss_mb" (each one's _peak_rss_mb when its drain ended, in the
+    same order).
 
     This process drains the queue next to min(workers, CPUs) - 1 helpers,
     all claiming from one shared index; alone, it drains it with a local
@@ -282,8 +275,10 @@ def _solve(jobs: list, workers: int) -> tuple:
                 drained.append(part)
                 peaks.append(peak)
     done = {i: result for part in drained for i, result in part.items()}
-    return ([done[i] for i in range(len(jobs))],
-            [len(part) for part in drained], peaks, method)
+    return [done[i] for i in range(len(jobs))], {
+        "processes": len(drained), "start_method": method,
+        "blocks_claimed": tuple(len(part) for part in drained),
+        "peak_rss_mb": tuple(peaks)}
 
 
 def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
@@ -293,24 +288,30 @@ def run_ensemble(basis: OpucBasis, model: CoeffModel, region: Region,
     Identical (seed, config) give bit-identical counts for any `workers`.
     The seed must lie in [0, 2^64).
     """
-    _check_run(trials, workers, seed)
-    done, claimed, peaks, method = _solve(
-        [(basis, model, region, seed, lo, hi) for lo, hi in _blocks(trials)],
-        workers)
-    return _stats(basis, region, trials, seed, done, claimed, peaks, method)
+    return _ensembles([basis], model, region, trials, seed, workers)[0]
 
 
-def _check_run(trials: int, workers: int, seed: int) -> None:
+def _ensembles(bases, model, region, trials, seed, workers) -> list:
+    """The EnsembleStats of each basis, in order, from one _solve of every
+    basis's blocks, queued last basis first (a study's largest degree,
+    whose blocks take longest); they share its `timing`."""
     if trials < 2:
         raise UsageError("need at least 2 trials")
     if workers < 1:
         raise UsageError("workers must be >= 1")
     if not 0 <= seed <= _M64:
         raise UsageError(f"seed must be in [0, 2^64), got {seed}")
+    blocks = _blocks(trials)
+    done, timing = _solve(
+        [(basis, model, region, seed, lo, hi) for basis in reversed(bases)
+         for lo, hi in blocks], workers)
+    per_basis = [done[at:at + len(blocks)]
+                 for at in range(0, len(done), len(blocks))][::-1]
+    return [_stats(basis, region, trials, seed, part, timing)
+            for basis, part in zip(bases, per_basis)]
 
 
-def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
-           start_method) -> EnsembleStats:
+def _stats(basis, region, trials, seed, done, timing) -> EnsembleStats:
     """The ensemble of one basis from its blocks' results, in trial order."""
     raw = [c for counts, _ in done for c in counts]
     audited = sum(tally[0] for _, tally in done)
@@ -352,9 +353,7 @@ def _stats(basis, region, trials, seed, done, blocks_claimed, peak_rss_mb,
         trial_indices=kept, excluded=len(excluded_trials),
         excluded_trials=excluded_trials,
         exclusion_reasons=tuple(c for _, c in excluded), audited=audited,
-        audit_flagged=flagged, worst_residual=worst,
-        blocks_claimed=tuple(blocks_claimed), start_method=start_method,
-        peak_rss_mb=tuple(peak_rss_mb))
+        audit_flagged=flagged, worst_residual=worst, timing=timing)
 
 
 @dataclass
@@ -385,19 +384,10 @@ def convergence_study(basis_family: AlphaFamily, model: CoeffModel,
     if region.kind != "sector":
         raise UsageError("convergence study needs a sector region")
     frac = region.angular_fraction()
-    _check_run(trials, workers, seed)
     bases = [basis_family.build(n) for n in ns]
-    blocks = _blocks(trials)
-    # one queue for every degree, largest first: its blocks take longest
-    done, claimed, peaks, method = _solve(
-        [(basis, model, region, seed, lo, hi) for basis in reversed(bases)
-         for lo, hi in blocks], workers)
-    per_degree = [done[at:at + len(blocks)]
-                  for at in range(0, len(done), len(blocks))][::-1]
     rows = []
-    for n, basis, blocks_done in zip(ns, bases, per_degree):
-        stats = _stats(basis, region, trials, seed, blocks_done, claimed,
-                       peaks, method)
+    for n, basis, stats in zip(ns, bases, _ensembles(
+            bases, model, region, trials, seed, workers)):
         dev = float(np.mean(np.abs(stats.counts / n - frac)))
         eps_n = math.log(basis.kappas[n]) / n
         env1 = math.sqrt(math.log(n) / n) if n > 1 else 1.0

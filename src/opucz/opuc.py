@@ -283,9 +283,9 @@ class WeightSpec:
         e = np.atleast_1d(np.asarray(exponents, dtype=float))
         if t.shape != e.shape:
             raise UsageError("thetas and exponents must pair up")
-        if np.any(e <= 0):
-            raise UsageError("jacobi exponents must be positive")
-        if np.any((t < 0) | (t >= 2 * np.pi)):
+        if not np.all((e > 0) & (e < np.inf)):
+            raise UsageError("jacobi exponents must be positive and finite")
+        if not np.all((t >= 0) & (t < 2 * np.pi)):
             raise UsageError("jacobi angles must lie in [0, 2pi)")
         return WeightSpec("generalized_jacobi", t, e)
 
@@ -425,6 +425,8 @@ def levinson_verblunsky(moments) -> np.ndarray:
     means the moment matrix is numerically not positive definite.
     """
     c = np.atleast_1d(np.asarray(moments, dtype=np.complex128))
+    if not np.all(np.isfinite(c)):
+        raise UsageError("moments must be finite")
     if c.size < 2:
         return np.zeros(0, dtype=np.complex128)
     if abs(c[0].imag) > 1e-12 or c[0].real <= 0:

@@ -49,8 +49,8 @@ class VarianceResult:
 
 
 def _check_annulus(s: float, t: float) -> Optional[Region]:
-    if not (0.0 <= s <= t):
-        raise UsageError(f"need 0 <= s <= t, got s={s}, t={t}")
+    if not 0.0 <= s <= t < np.inf:
+        raise UsageError(f"need 0 <= s <= t < inf, got s={s}, t={t}")
     if s <= 1.0 <= t:
         raise RegionTouchesCircle(f"annulus ({s}, {t}) touches |z| = 1")
     return Region.annulus(s, t) if s < t else None
@@ -81,7 +81,7 @@ def var_limit_series(s: float, t: float, tol: float = 1e-12) -> VarianceResult:
     more than _SERIES_CAP terms.
     """
     region = _check_annulus(s, t)
-    if tol <= 0:
+    if not tol > 0:
         raise UsageError("tol must be positive")
     s2 = s * s
     t2 = t * t
@@ -125,7 +125,7 @@ def var_limit_quadrature(s: float, t: float,
                          target: float = 1e-8) -> VarianceResult:
     """Quadrature of the limiting intensities, refined to `target`."""
     region = _check_annulus(s, t)
-    if target <= 0:
+    if not target > 0:
         raise UsageError("target must be positive")
     if s == t:
         return VarianceResult(value=0.0, method="quadrature", region=region)

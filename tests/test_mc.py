@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -433,12 +434,9 @@ def _fake_pool(monkeypatch, helpers_work: bool) -> dict:
 
 
 def _same_ensemble(a, b) -> bool:
-    return (np.array_equal(a.counts, b.counts)
-            and np.array_equal(a.trial_indices, b.trial_indices)
-            and (a.audited, a.audit_mismatches, a.audit_flagged,
-                 a.worst_residual)
-            == (b.audited, b.audit_mismatches, b.audit_flagged,
-                b.worst_residual))
+    """The determinism contract: every field but `timing` is equal."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a) if f.name != "timing")
 
 
 def test_pool_bounded_by_usable_cpus(monkeypatch):
@@ -448,17 +446,19 @@ def test_pool_bounded_by_usable_cpus(monkeypatch):
     args = (alpha_family("zero").build(10), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
     alone = run_ensemble(*args, workers=1)
-    assert record["sizes"] == [] and alone.processes == 1
+    assert record["sizes"] == [] and alone.timing["processes"] == 1
     for workers in (5000, 3, 2):
         got = run_ensemble(*args, workers=workers)
         assert _same_ensemble(got, alone)
-        assert got.processes == min(workers, 3)
+        assert got.timing["processes"] == min(workers, 3)
         # the fake's first helper drains all three blocks at submission
-        assert got.blocks_claimed == (0, 3) + (0,) * (got.processes - 2)
+        assert got.timing["blocks_claimed"] == (
+            (0, 3) + (0,) * (got.timing["processes"] - 2))
     assert record["sizes"] == [2, 2, 1]
 
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
-    assert run_ensemble(*args, workers=5000).processes == 1  # in-process
+    # in-process
+    assert run_ensemble(*args, workers=5000).timing["processes"] == 1
     assert record["sizes"] == [2, 2, 1]
 
     monkeypatch.delattr(mc.os, "sched_getaffinity")  # no affinity call
@@ -478,7 +478,8 @@ def test_idle_helpers_change_nothing(monkeypatch):
     alone = run_ensemble(*args, workers=1)
     idle = run_ensemble(*args, workers=3)
     assert record["sizes"] == [2] and len(record["submitted"]) == 2
-    assert idle.processes == 3 and idle.blocks_claimed == (8, 0, 0)
+    assert idle.timing["processes"] == 3
+    assert idle.timing["blocks_claimed"] == (8, 0, 0)
     assert _same_ensemble(idle, alone)
     assert alone.audited + alone.audit_flagged == 3
 
@@ -510,12 +511,14 @@ def test_one_worker_builds_no_pool(monkeypatch):
     args = (alpha_family("zero").build(10), coeff_model("gaussian"),
             Region.annulus(0.0, 0.6), 2 * mc.BLOCK + 5, 3)
     alone = run_ensemble(*args, workers=1)
-    assert (alone.blocks_claimed, alone.start_method) == ((3,), None)
-    monkeypatch.setattr(mc, "_cpus", lambda: 1)
-    assert run_ensemble(*args, workers=4).processes == 1  # one usable CPU
+    timing = alone.timing
+    assert (timing["blocks_claimed"], timing["start_method"]) == ((3,), None)
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)  # one usable CPU
+    assert run_ensemble(*args, workers=4).timing["processes"] == 1
     rows = convergence_study(alpha_family("zero"), coeff_model("gaussian"),
                              QUARTER, [10, 20], trials=8, seed=5, workers=1)
-    assert [r.stats.blocks_claimed for r in rows] == [(2,), (2,)]  # one queue
+    assert rows[0].stats.timing is rows[1].stats.timing  # one queue
+    assert rows[0].stats.timing["blocks_claimed"] == (2,)
 
 
 def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
@@ -544,8 +547,8 @@ def test_every_block_claimed_once_by_more_processes_than_cores(monkeypatch):
     claimed = [i for done in solved + [f.result(timeout=60)[0] for f in futures]
                for i in done]
     assert sorted(claimed) == list(range(24))
-    assert four.processes == 4 and len(futures) == 3
-    assert sum(four.blocks_claimed) == 24
+    assert four.timing["processes"] == 4 and len(futures) == 3
+    assert sum(four.timing["blocks_claimed"]) == 24
     assert _same_ensemble(four, run_ensemble(*args, workers=1))
 
 
@@ -568,8 +571,10 @@ def test_helpers_are_forked_from_this_process(monkeypatch):
         return os.getpid()
 
     monkeypatch.setattr(mc, "_block_counts", tagged)
-    pids, claimed, _, method = mc._solve([None, None], workers=2)
-    assert method == "fork" and len(claimed) == 2 and sum(claimed) == 2
+    pids, timing = mc._solve([None, None], workers=2)
+    claimed = timing["blocks_claimed"]
+    assert timing["start_method"] == "fork" and timing["processes"] == 2
+    assert len(claimed) == 2 and sum(claimed) == 2
     assert helper_ran.is_set()
     assert all(isinstance(pid, int) for pid in pids)
     assert any(pid != parent for pid in pids)
@@ -588,7 +593,7 @@ def test_buffered_output_is_written_once(capfd, monkeypatch):
                          coeff_model("gaussian"), Region.annulus(0.0, 0.6),
                          2 * mc.BLOCK + 5, 3, workers=2)
     out.flush()
-    assert stats.processes == 2
+    assert stats.timing["processes"] == 2
     assert capfd.readouterr().out.count("before the pool") == 1
 
 
@@ -609,7 +614,7 @@ def test_peak_rss_in_mb_or_none(monkeypatch):
     stats = run_ensemble(alpha_family("zero").build(10),
                          coeff_model("gaussian"), Region.annulus(0.0, 0.6),
                          8, 3, workers=1)
-    assert stats.peak_rss_mb == (None,)
+    assert stats.timing["peak_rss_mb"] == (None,)
 
 
 def test_audit_mismatch_fails_the_ensemble(monkeypatch):
@@ -640,8 +645,7 @@ def test_audit_mismatch_fails_the_ensemble(monkeypatch):
 def _stats_of(counts, seed):
     """mc._stats on one block of the given counts."""
     return mc._stats(alpha_family("zero").build(4), Region.annulus(0, 0.5),
-                     len(counts), seed, [(list(counts), (0, [], 0, 0.0))],
-                     (1,), (None,), None)
+                     len(counts), seed, [(list(counts), (0, [], 0, 0.0))], {})
 
 
 def _se_var_one_shot(counts, seed):

@@ -584,6 +584,21 @@ def test_levinson_rejects_non_positive_definite():
         levinson_verblunsky(np.array([1.0, 1.5, 0.0], dtype=complex))
 
 
+@pytest.mark.parametrize("moments", [[np.inf, 0.1], [1.0, np.nan, 0.1],
+                                     [1.0, complex(0.1, np.inf)]])
+def test_levinson_rejects_non_finite_moments(moments):
+    with pytest.raises(UsageError, match="finite"):
+        levinson_verblunsky(moments)
+
+
+@pytest.mark.parametrize("thetas,exponents", [([np.nan], [1.0]),
+                                              ([1.0], [np.nan]),
+                                              ([1.0], [np.inf])])
+def test_jacobi_weight_rejects_non_finite(thetas, exponents):
+    with pytest.raises(UsageError):
+        WeightSpec.generalized_jacobi(thetas, exponents)
+
+
 # ---------------------------------------------------------------------------
 # families and files
 # ---------------------------------------------------------------------------

@@ -76,6 +76,19 @@ def test_bad_radii_raise():
         var_limit_series(0.2, 0.5, tol=0.0)
     with pytest.raises(UsageError):
         var_limit_quadrature(0.2, 0.5, target=-1e-8)
+    # NaN > 0 is False: refused up front, not after the whole series
+    with pytest.raises(UsageError, match="tol"):
+        var_limit_series(0.3, 0.6, tol=np.nan)
+    with pytest.raises(UsageError, match="target"):
+        var_limit_quadrature(0.3, 0.6, target=np.nan)
+
+
+@pytest.mark.parametrize("s,t", [(2.0, np.inf), (np.inf, np.inf),
+                                 (0.3, np.nan), (np.nan, 0.5)])
+def test_non_finite_radii_raise(s, t):
+    for fn in (var_limit_closed, var_limit_series, var_limit_quadrature):
+        with pytest.raises(UsageError):
+            fn(s, t)
 
 
 @pytest.mark.parametrize("s,t", GRID)
