@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ComputationError, MixedSides, OnUnitCircle, UsageError
 # the public routes stay importable from here: perfbench/workloads.py traces
 # intensity.kernel_cd and intensity.kernel_direct by attribute
-from .kernel import kernel_cd, kernel_direct  # noqa: F401
+from .kernel import finite_point, kernel_cd, kernel_direct  # noqa: F401
 from .opuc import OpucBasis
 
 PAIR_COINCIDENCE = 1e-9
@@ -75,10 +75,11 @@ def _abs_r(basis: OpucBasis, points, n: int):
 
 def rho1_n(basis: OpucBasis, z, n: int = None) -> IntensityValue:
     """One-point intensity at finite truncation degree n (default: basis order)."""
+    z = finite_point(z)
     n = basis.order if n is None else n
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
-    r = _abs_r(basis, [complex(z)], n)
+    r = _abs_r(basis, [z], n)
     return _finite((r[1, 1] / r[0, 0]) ** 2 / math.pi, n)
 
 
@@ -88,11 +89,10 @@ def rho2_n(basis: OpucBasis, z, w, n: int = None) -> IntensityValue:
     Coincident pairs (|z - w| < 1e-9) return exactly 0: the intensity
     vanishes there and the formula would form 0/0.
     """
+    z, w = finite_point(z), finite_point(w)
     n = basis.order if n is None else n
     if n < 1:
         raise UsageError("intensity needs degree >= 1")
-    z = complex(z)
-    w = complex(w)
     if abs(z - w) < PAIR_COINCIDENCE:
         return IntensityValue(0.0, n)
     r = _abs_r(basis, [z, w], n)
@@ -113,7 +113,7 @@ def _check_off_circle(z: complex) -> float:
 
 def rho1_limit(z) -> IntensityValue:
     """Limiting one-point intensity 1/(pi (1 - |z|^2)^2), off the circle."""
-    z = complex(z)
+    z = finite_point(z)
     _check_off_circle(z)
     val = 1.0 / (math.pi * (1.0 - abs(z) ** 2) ** 2)
     return IntensityValue(float(val), "limit")
@@ -121,8 +121,7 @@ def rho1_limit(z) -> IntensityValue:
 
 def rho2_limit(z, w) -> IntensityValue:
     """Limiting two-point intensity for z, w on the same side of the circle."""
-    z = complex(z)
-    w = complex(w)
+    z, w = finite_point(z), finite_point(w)
     dz = _check_off_circle(z)
     dw = _check_off_circle(w)
     if (dz > 0) != (dw > 0):

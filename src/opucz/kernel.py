@@ -48,6 +48,13 @@ class KernelEval:
     order: int
 
 
+def finite_point(z) -> complex:
+    """z as a complex number; a NaN or infinite part raises UsageError."""
+    if not np.isfinite(z := complex(z)):
+        raise UsageError(f"point must be finite, got {z}")
+    return z
+
+
 def _resolve_order(basis: OpucBasis, n, need_next: bool) -> int:
     top = basis.order - 1 if need_next else basis.order
     if n is None:
@@ -59,9 +66,10 @@ def _resolve_order(basis: OpucBasis, n, need_next: bool) -> int:
 
 def kernel_direct(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     """Term-by-term sums over phi_0..phi_n.  Valid everywhere."""
+    z, w = finite_point(z), finite_point(w)
     n = _resolve_order(basis, n, need_next=False)
-    pz, _, dpz, _ = basis.values_at(complex(z), upto=n, derivs=True)
-    pw, _, dpw, _ = basis.values_at(complex(w), upto=n, derivs=True)
+    pz, _, dpz, _ = basis.values_at(z, upto=n, derivs=True)
+    pw, _, dpw, _ = basis.values_at(w, upto=n, derivs=True)
     K = np.dot(pz, np.conj(pw))
     K01 = np.dot(pz, np.conj(dpw))
     K11 = np.dot(dpz, np.conj(dpw))
@@ -74,9 +82,8 @@ def kernel_cd(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
     Needs the basis to hold degree n+1 and the pair to sit away from the
     singular curve: |1 - z conj(w)| > 1e-8.
     """
+    z, w = finite_point(z), finite_point(w)
     n = _resolve_order(basis, n, need_next=True)
-    z = complex(z)
-    w = complex(w)
     u = 1.0 - z * np.conj(w)
     if abs(u) <= CD_GUARD:
         raise NearDiagonalSingularity(

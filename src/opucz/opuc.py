@@ -313,7 +313,7 @@ def gauss_jacobi(q: int, a: float = 0.0, b: float = 0.0):
     each weight is the Christoffel number 1 / sum_{k<q} p_k(x)^2 of the
     orthonormal p_k at its node, scaled to the mass 2^(a+b+1) B(a+1, b+1).
     """
-    if q < 1 or not (a > -1.0 and b > -1.0):
+    if q < 1 or not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise UsageError(f"no {q}-point Gauss-Jacobi rule for a={a}, b={b}")
     if a > b:  # the mirror image of the rule for (b, a)
         x, w = gauss_jacobi(q, b, a)

@@ -15,10 +15,11 @@ Two independent counting routes, both working in the basis itself:
     no derivatives.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
-    panels on its smooth arcs.  The result must land within 0.1 of an
-    integer; drifting further, or spending the panel budget, means a zero
-    sits too close to the boundary and the count is refused rather than
-    guessed.
+    panels on its smooth arcs: one array row per circle arc or segment,
+    all evaluated by one expression.  The result must land within 0.1 of
+    an integer; drifting further, or spending the panel budget, means a
+    zero sits too close to the boundary and the count is refused rather
+    than guessed.
 
 Regions are annuli s < |z| < t (s = 0 means the full disk |z| < t) and
 sectors r < |z| < 1/r with alpha <= arg z < beta, arguments taken in
@@ -76,8 +77,8 @@ class Region:
 
     @staticmethod
     def annulus(s: float, t: float) -> "Region":
-        if not (0 <= s < t):
-            raise UsageError(f"annulus needs 0 <= s < t, got s={s}, t={t}")
+        if not (0 <= s < t < math.inf):
+            raise UsageError(f"annulus needs 0 <= s < t < inf, got s={s}, t={t}")
         return Region("annulus", (float(s), float(t)))
 
     @staticmethod
@@ -115,40 +116,21 @@ class Region:
         _, alpha, beta = self.params
         return (beta - alpha) / (2 * math.pi)
 
-    def boundary_arcs(self):
-        """Positively oriented smooth arcs (gamma, dgamma) over [0, 1]."""
-
-        def circle(rad, ccw=True, a0=0.0, a1=2 * math.pi):
-            lo, hi = (a0, a1) if ccw else (a1, a0)
-
-            def g(t):
-                return rad * np.exp(1j * (lo + (hi - lo) * t))
-
-            def dg(t):
-                return rad * 1j * (hi - lo) * np.exp(1j * (lo + (hi - lo) * t))
-
-            return g, dg
-
-        def segment(z0, z1):
-            return (lambda t: z0 + (z1 - z0) * t,
-                    lambda t: np.full_like(np.asarray(t, dtype=float),
-                                           z1 - z0, dtype=np.complex128))
-
+    def boundary_arcs(self) -> np.ndarray:
+        """The positively oriented boundary, one row (c, d, rad, a0, a1) per
+        smooth arc, z(t) = c + d t + rad e^{i (a0 + (a1 - a0) t)} on [0, 1]:
+        c = d = 0 on a circle arc, and rad = a0 = a1 = 0 on a segment from
+        c to c + d.  The rows are complex; rad, a0 and a1 are real."""
         if self.kind == "annulus":
             s, t = self.params
-            arcs = [circle(t, ccw=True)]
-            if s > 0:
-                arcs.append(circle(s, ccw=False))
-            return arcs
+            rims = [(0, 0, t, 0.0, 2 * math.pi), (0, 0, s, 2 * math.pi, 0.0)]
+            return np.array(rims[:1 + (s > 0)], dtype=np.complex128)
         r, alpha, beta = self.params
         ro = 1.0 / r
         ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-        return [
-            circle(ro, ccw=True, a0=alpha, a1=beta),
-            segment(ro * eb, r * eb),
-            circle(r, ccw=False, a0=alpha, a1=beta),
-            segment(r * ea, ro * ea),
-        ]
+        return np.array([(0, 0, ro, alpha, beta), (ro * eb, r * eb - ro * eb, 0, 0, 0),
+                         (0, 0, r, beta, alpha), (r * ea, ro * ea - r * ea, 0, 0, 0)],
+                        dtype=np.complex128)
 
 
 def _ray_distance(z: np.ndarray, theta: float) -> np.ndarray:
@@ -262,11 +244,10 @@ def _horner_table(coefs: np.ndarray):
             np.abs(coefs).sum(axis=1))
 
 
-def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table=None):
+def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table):
     """P and P' of the monomial model at each point z of row `rows`, by
     Horner's rule, scaled as eval_poly scales them, and the scale
-    sum_k |c_k| of the rounding bound.  table is _horner_table(coefs),
-    built here when not given.
+    sum_k |c_k| of the rounding bound.  table is _horner_table(coefs).
 
     Where |z| > 1 the rule runs on the reversed polynomial Q(w) = P(z) w^n
     in w = 1/z, and returns P / z^n = Q and P' / z^n = w (n Q - w Q'):
@@ -277,7 +258,7 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table=None):
     by about eps max |P|, stops being more accurate anyway.
     """
     t, n = coefs.shape[0], coefs.shape[1] - 1
-    table, sums = _horner_table(coefs) if table is None else table
+    table, sums = table
     out = np.abs(z) > 1.0
     u = np.divide(1.0, z, out=z.copy(), where=out)  # z inside, 1/z outside
     at = rows + t * out
@@ -599,16 +580,19 @@ def count_in_region(zs: ZeroSet, region: Region) -> int:
     return int(np.count_nonzero(region.contains(zs.roots, zs.radii)))
 
 
+def _arc_points(arcs: np.ndarray, arc: np.ndarray, t: np.ndarray):
+    """z and dz/dt at parameters t of boundary rows arcs[arc], in one expression."""
+    c, d = arcs[arc, :2].T[..., None]
+    rad, a0, a1 = arcs[arc, 2:].real.T[..., None]
+    e = np.exp(1j * (a0 + (a1 - a0) * t))
+    return c + d * t + rad * e, d + rad * 1j * (a1 - a0) * e
+
+
 def _panel_integrals(basis: OpucBasis, eta: np.ndarray, arcs, arc, a, b):
     """Gauss-Legendre estimate and absolute mass of P'/P dz on each panel
-    [a, b] of arc number `arc`, all arcs in one evaluation."""
+    [a, b] of boundary row arcs[arc], all panels in one evaluation."""
     h = (b - a)[:, None]
-    t = a[:, None] + h * (0.5 * (_GL_NODES[None, :] + 1.0))
-    z = np.empty(t.shape, dtype=np.complex128)
-    dz = np.empty(t.shape, dtype=np.complex128)
-    for k, (g, dg) in enumerate(arcs):
-        on = arc == k
-        z[on], dz[on] = g(t[on]), dg(t[on])
+    z, dz = _arc_points(arcs, arc, a[:, None] + h * (0.5 * (_GL_NODES[None, :] + 1.0)))
     val, dval, _ = eval_poly(basis, eta, z, derivs=True, scale=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = dval / val * dz * (0.5 * h) * _GL_WEIGHTS[None, :]

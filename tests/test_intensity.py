@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opucz.cli import main
-from opucz.errors import ComputationError, MixedSides, OnUnitCircle
+from opucz.errors import ComputationError, MixedSides, OnUnitCircle, UsageError
 from opucz.intensity import (
     PAIR_COINCIDENCE,
     rho1_limit,
@@ -378,6 +378,18 @@ def test_intensities_against_50_digit_oracle(fam):
             want = _mp_rho(b, [z, w], 40)
             got = rho2_n(b, z, w, n=40).value
             assert got == pytest.approx(want, rel=1e-10), (name, z, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf),
+                                 complex(np.nan, 0.5)])
+def test_non_finite_point_refused(bad):
+    # a usage error, not an overflow (ComputationError) or a silent nan limit
+    b = alpha_family("zero").build(10)
+    for call in (lambda: rho1_n(b, bad), lambda: rho1_limit(bad),
+                 lambda: rho2_n(b, bad, 0.2), lambda: rho2_n(b, 0.2, bad),
+                 lambda: rho2_limit(bad, 0.2), lambda: rho2_limit(0.2, bad)):
+        with pytest.raises(UsageError, match="point must be finite"):
+            call()
 
 
 def test_intensity_past_overflow_is_refused(capsys):

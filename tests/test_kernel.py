@@ -102,6 +102,18 @@ def test_k11_matches_finite_difference_of_k01():
         assert abs(k.K11 - fd) <= 1e-6 * max(1.0, abs(k.K11))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf),
+                                 complex(np.nan, 0.5)])
+def test_non_finite_point_refused(bad):
+    # refused by one check before any arithmetic on the point: no nan kernel
+    # and no RuntimeWarning, at either argument of either route
+    b = alpha_family("zero").build(10)
+    for route in (kernel_direct, kernel_cd):
+        for z, w in ((bad, 0.2), (0.2, bad)):
+            with pytest.raises(UsageError, match="point must be finite"):
+                route(b, z, w)
+
+
 def test_order_bounds_enforced():
     b = szego_build(np.zeros(5), 5)
     with pytest.raises(UsageError):

@@ -99,6 +99,10 @@ def test_region_constructors_validate():
         Region.annulus(0.5, 0.5)
     with pytest.raises(UsageError):
         Region.annulus(-0.1, 0.5)
+    for s, t in ((0.2, math.inf), (math.inf, math.inf), (0.2, math.nan),
+                 (math.nan, 0.5)):
+        with pytest.raises(UsageError):
+            Region.annulus(s, t)
     with pytest.raises(UsageError):
         Region.sector(1.2, 0, 1)
     with pytest.raises(UsageError):
@@ -533,7 +537,9 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     coefs, _ = zerocount._monomial_coefficients(basis, etas)
     in_basis = functools.partial(eval_poly, basis, etas, derivs=True)
     circle = zerocount._circle(block, n)
-    for evaluate, z0 in ((functools.partial(zerocount._horner, coefs), circle),
+    model = functools.partial(zerocount._horner, coefs,
+                              table=zerocount._horner_table(coefs))
+    for evaluate, z0 in ((model, circle),
                          (in_basis, circle),
                          (in_basis, zerocount._starts(basis, etas))):
         got = zerocount._aberth(evaluate, z0)
@@ -614,7 +620,8 @@ def test_horner_matches_eval_poly(fam, n):
     rows = rng.integers(0, 3, 50)
     assert np.any(np.abs(z) > 1.0) and np.any(np.abs(z) < 1.0)
     coefs, _ = zerocount._monomial_coefficients(basis, etas)
-    hp, hdp, hscale = zerocount._horner(coefs, z, rows)
+    hp, hdp, hscale = zerocount._horner(coefs, z, rows,
+                                        zerocount._horner_table(coefs))
     p, dp, scale = eval_poly(basis, etas, z, derivs=True, rows=rows)
     circle = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     top = np.array([np.max(np.abs(eval_poly(basis, eta, circle)[0]))
@@ -855,9 +862,49 @@ def test_block_samples_recurse_once_on_the_circle(monkeypatch):
     assert max(on_circle) == 101
 
 
+def _closure_arcs(region):
+    """region's positively oriented boundary as smooth arcs (gamma, dgamma)
+    over [0, 1], one pair of closures per arc: circles with a ccw flag and
+    segments.  The oracle of Region.boundary_arcs' rows and the one
+    expression that _panel_integrals evaluates them by."""
+
+    def circle(rad, ccw=True, a0=0.0, a1=2 * math.pi):
+        lo, hi = (a0, a1) if ccw else (a1, a0)
+
+        def g(t):
+            return rad * np.exp(1j * (lo + (hi - lo) * t))
+
+        def dg(t):
+            return rad * 1j * (hi - lo) * np.exp(1j * (lo + (hi - lo) * t))
+
+        return g, dg
+
+    def segment(z0, z1):
+        return (lambda t: z0 + (z1 - z0) * t,
+                lambda t: np.full_like(np.asarray(t, dtype=float),
+                                       z1 - z0, dtype=np.complex128))
+
+    if region.kind == "annulus":
+        s, t = region.params
+        arcs = [circle(t, ccw=True)]
+        if s > 0:
+            arcs.append(circle(s, ccw=False))
+        return arcs
+    r, alpha, beta = region.params
+    ro = 1.0 / r
+    ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
+    return [
+        circle(ro, ccw=True, a0=alpha, a1=beta),
+        segment(ro * eb, r * eb),
+        circle(r, ccw=False, a0=alpha, a1=beta),
+        segment(r * ea, ro * ea),
+    ]
+
+
 def _panel_integrals_oracle(basis, eta, arcs, arc, a, b):
-    """zerocount._panel_integrals with eval_poly's scale computed, as it
-    was before the audit skipped it."""
+    """zerocount._panel_integrals on the closures of _closure_arcs, one arc
+    at a time, with eval_poly's scale computed, as it was before the audit
+    skipped it."""
     h = (b - a)[:, None]
     t = a[:, None] + h * (0.5 * (zerocount._GL_NODES[None, :] + 1.0))
     z = np.empty(t.shape, dtype=np.complex128)
@@ -916,7 +963,7 @@ def _contour_outcome(basis, eta, region, oracle):
         if oracle:
             def run():
                 return _contour_integral_oracle(
-                    basis, eta, region.boundary_arcs(), spent)
+                    basis, eta, _closure_arcs(region), spent)
         else:
             inner = zerocount._panel_integrals
 
@@ -939,14 +986,35 @@ def _contour_outcome(basis, eta, region, oracle):
 
 _CONTOURS = [Region.annulus(0.3, 0.6), Region.annulus(0.8, 0.95),
              Region.annulus(0, 0.5), Region.annulus(1.5, 2),
-             Region.sector(0.5, 0, math.pi / 2), Region.sector(0.7, 1.0, 3.0)]
+             Region.annulus(0.2, 3.0), Region.sector(0.5, 0, math.pi / 2),
+             Region.sector(0.7, 1.0, 3.0), Region.sector(0.9, 4.0, 2 * math.pi)]
+
+
+def test_boundary_rows_trace_a_closed_contour():
+    # each region's rows: a sector's four arcs meet end to start, the last
+    # back at the first, each annulus rim closes on itself, and dz is the
+    # derivative of z (a central difference agrees to 1e-7 relative)
+    t = np.linspace(0.0, 1.0, 41)
+    for region in _CONTOURS:
+        arcs = region.boundary_arcs()
+        assert not arcs[:, 2:].imag.any()  # rad, a0 and a1 are real
+        k = np.arange(len(arcs))
+        ends = zerocount._arc_points(arcs, k, np.array([0.0, 1.0]))[0]
+        starts = ends[:, 0] if region.kind == "annulus" else np.roll(ends[:, 0], -1)
+        assert np.all(np.abs(ends[:, 1] - starts) <= 1e-15 * np.abs(starts)), region
+        dz = zerocount._arc_points(arcs, k, t)[1]
+        h = 1e-6
+        diff = (zerocount._arc_points(arcs, k, t + h)[0]
+                - zerocount._arc_points(arcs, k, t - h)[0]) / (2 * h)
+        assert np.all(np.abs(dz - diff) <= 1e-7 * np.abs(dz)), region
 
 
 @pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1"])
 @pytest.mark.parametrize("n", [100, 200])
 def test_contour_integral_bit_for_bit_against_two_call_oracle(fam, n):
-    # evaluating the initial panels together with their halves changes no
-    # total, no settled flag and no panel count
+    # evaluating the initial panels together with their halves, and the
+    # boundary rows by one expression, changes no total, no settled flag
+    # and no panel count against the per-arc closures
     basis = alpha_family(fam).build(n)
     for seed in (1, 2, 3):
         eta = sample_poly(basis, coeff_model("gaussian"), trial_seed(seed, 0))
@@ -991,7 +1059,7 @@ def test_audit_saves_one_evaluation(monkeypatch):
     count_by_argument_principle(basis, eta, region)
     got = len(calls)
     calls.clear()
-    _contour_integral_oracle(basis, eta, region.boundary_arcs(), [])
+    _contour_integral_oracle(basis, eta, _closure_arcs(region), [])
     assert got == len(calls) - 1
 
 
@@ -1010,11 +1078,12 @@ def test_circle_step_matches_one_horner_step(monkeypatch, fam, n):
     coefs, _ = zerocount._monomial_coefficients(basis, etas)
     circle = zerocount._circle(8, n)
     monkeypatch.setattr(zerocount, "ABERTH_STEPS", 1)
-    want = zerocount._aberth(functools.partial(zerocount._horner, coefs),
-                             circle)[0]
+    table = zerocount._horner_table(coefs)
+    want = zerocount._aberth(functools.partial(zerocount._horner, coefs,
+                                               table=table), circle)[0]
     got = zerocount._circle_step(coefs)
     rows, pos = np.divmod(np.arange(circle.size), n)
-    p, dp, _ = zerocount._horner(coefs, circle.reshape(-1), rows)
+    p, dp, _ = zerocount._horner(coefs, circle.reshape(-1), rows, table)
     pull = zerocount._repulsion(circle, circle.reshape(-1), rows, pos)
     cond = np.minimum(1.0, np.abs(1.0 - p / dp * pull)).reshape(circle.shape)
     assert np.all(np.isfinite(got))
