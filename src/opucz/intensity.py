@@ -40,8 +40,8 @@ import numpy as np
 from .errors import ComputationError, MixedSides, OnUnitCircle, UsageError
 # the public routes stay importable from here: perfbench/workloads.py traces
 # intensity.kernel_cd and intensity.kernel_direct by attribute
-from .kernel import finite_point, kernel_cd, kernel_direct  # noqa: F401
-from .opuc import OpucBasis
+from .kernel import kernel_cd, kernel_direct  # noqa: F401
+from .opuc import OpucBasis, finite_point
 
 PAIR_COINCIDENCE = 1e-9
 CIRCLE_GUARD = 1e-12

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDiagonalSingularity, UsageError
-from .opuc import OpucBasis
+from .opuc import OpucBasis, finite_point
 
 CD_GUARD = 1e-8
 
@@ -46,13 +46,6 @@ class KernelEval:
     K01: complex
     K11: complex
     order: int
-
-
-def finite_point(z) -> complex:
-    """z as a complex number; a NaN or infinite part raises UsageError."""
-    if not np.isfinite(z := complex(z)):
-        raise UsageError(f"point must be finite, got {z}")
-    return z
 
 
 def _resolve_order(basis: OpucBasis, n, need_next: bool) -> int:

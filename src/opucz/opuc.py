@@ -22,6 +22,7 @@ reproduces the monomials z^k.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,27 @@ MOMENT_RULES = (16, 24)  # Gauss points a panel: the moments, then their check
 
 # fixed probe ring |z| = 1/2 used by the regularity report
 _PROBES = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+_GATHER_TERMS = 2 ** 15  # entries per gathered block of degrees: 512 KB complex
+
+
+def finite_point(z) -> complex:
+    """z as a complex number; a NaN or infinite part raises UsageError."""
+    if not cmath.isfinite(z := complex(z)):
+        raise UsageError(f"point must be finite, got {z}")
+    return z
+
+
+def gather_degrees(table: np.ndarray, at: np.ndarray):
+    """table[j].take(at) for each degree j = 0, 1, ... in turn.
+
+    table holds one row per degree; the rows are gathered a block of
+    degrees at a time, by one take per block of at most _GATHER_TERMS
+    entries (512 KB complex), not by one take per degree.  The values are
+    the entries of table themselves, so the block size changes no bit.
+    """
+    step = max(1, _GATHER_TERMS // max(1, at.size))
+    for lo in range(0, table.shape[0], step):
+        yield from table[lo:lo + step].take(at, axis=1)
 
 
 def _check_alphas(alphas) -> np.ndarray:
@@ -93,12 +115,13 @@ class OpucBasis:
         """phi_j(z) and phi_j*(z) for j = 0..upto, by recursion in value space.
 
         O(upto) and stable; each step multiplies by the basis's 1 / rho_j.
-        Returns (phi, phi*) or, with derivs, (phi, phi*, phi', phi*').
+        Returns (phi, phi*) or, with derivs, (phi, phi*, phi', phi*').  A
+        point with a NaN or infinite part raises UsageError.
         """
         m = self.order if upto is None else upto
         if m < 0 or m > self.order:
             raise UsageError(f"degree {m} not held by a degree-{self.order} basis")
-        z = complex(z)
+        z = finite_point(z)
         # Python scalars: numpy scalar arithmetic would dominate the loop
         f = g = 1 + 0j
         df = dg = 0j
@@ -140,7 +163,9 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
     comes back as None.  Where |z| > 1 the recursion carries phi_j / z^j and
     phi_j* / z^j instead, and all three results come back divided by z^n
     (the scale by |z|^n): the ratios P/P' and |P|/scale are unchanged, and
-    nothing overflows however large |z| is.
+    nothing overflows however large |z| is.  Points are not checked, as
+    values_at's are: a NaN point gives NaN results, which _aberth reads as
+    a failed row.
 
     eta is one coefficient vector for every point, or a block of them,
     shape (T, n+1), with rows an integer array naming the row of each
@@ -148,17 +173,22 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
     shape.  Shaped like z, rows gathers each point's coefficients from its
     own row.  Shaped (T, 1) against points z of shape (m,), it evaluates
     every row at the same m points, shape (T, m), and phi_j, phi_j* are
-    recursed once on the m points, not once per row.  A point's arithmetic
-    is the same whichever way it is asked for.
+    recursed once on the m points, not once per row; against z of shape
+    (T, m), each row's own m points, each degree reading T coefficients
+    rather than T m.  A point's arithmetic is the same whichever way it is
+    asked for.
 
     phi and phi*, each with its derivative, step together in one stacked
-    array: a degree step is a fixed handful of ufunc calls into buffers and
-    views bound once per call, and a block's coefficient columns are
-    gathered into one buffer each.  Each step reads the basis's conj(alpha_j)
-    and 1 / rho_j, and multiplies the float view by 1 / rho_j, which gives
-    the bits of numpy's division by rho_j.  Every point still gets the
-    operations of the plain two-array recursion, in the same order and with
-    the same operand order, so the values are bit-identical to it.
+    array, flat over the points: a degree step is a fixed handful of ufunc
+    calls on same-shape buffers bound once per call, with the multipliers
+    (zw, w) of the state and the w of (P, P') laid out once at the shapes
+    they multiply.  A block's coefficients and their moduli are gathered a
+    block of degrees at a time (gather_degrees), each gathered block at
+    most 512 KB.  Each step reads the basis's conj(alpha_j) and 1 / rho_j,
+    and multiplies the float view by 1 / rho_j, which gives the bits of
+    numpy's division by rho_j.  Every point still gets the operations of
+    the plain two-array recursion, in the same order and with the same
+    operand order, so the values are bit-identical to it.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -173,51 +203,52 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
         rows = np.asarray(rows)
         shape = np.broadcast_shapes(z.shape, rows.shape)
         z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
-        ebuf = np.empty(rows.shape, dtype=np.complex128)
-        coefs = (c.take(rows, out=ebuf) for c in np.ascontiguousarray(eta.T))
+        coefs = gather_degrees(np.ascontiguousarray(eta.T), rows)
         if scale:
-            mbuf = np.empty(rows.shape)
-            sizes = (c.take(rows, out=mbuf)
-                     for c in np.ascontiguousarray(np.abs(eta).T))
+            sizes = gather_degrees(np.ascontiguousarray(np.abs(eta).T), rows)
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=np.ones_like(z), where=out)  # 1 inside, 1/z outside
     zw = np.where(out, 1.0, z)
     # fg[0] = (phi_j, phi_j') w^j and fg[1] = (phi_j*, phi_j*') w^j, each a
-    # stacked (value, derivative) pair, at the points of z; p = (P, P') so
-    # far and q the step's new term, at every point of the result
-    fg = np.zeros((2, 2 if derivs else 1) + z.shape, dtype=np.complex128)
+    # stacked (value, derivative) pair, flat over the points of z, and mul
+    # their multipliers (zw, w); p = (P, P') so far and q the step's new
+    # term, at every point of the result, and wp the w that steps p
+    k = 2 if derivs else 1
+    fg = np.zeros((2, k, z.size), dtype=np.complex128)
     fg[:, 0] = 1.0
-    fv, f, f0 = fg.view(np.float64), fg[0], fg[0, 0]
+    fv, f0 = fg.view(np.float64), fg[0, 0]
+    f = fg[0].reshape((k,) + z.shape)
+    mul = np.broadcast_to(np.stack((zw, w)).reshape(2, 1, -1), fg.shape).copy()
     x, y = np.empty_like(fg), np.empty_like(fg)
     xr = x[::-1]
     if derivs:
-        x01, y00 = x[0, 1], y[0, 0]
-    p = np.zeros(fg.shape[1:2] + shape, dtype=np.complex128)
+        wf, x01, y00 = w.reshape(-1), x[0, 1], y[0, 0]
+    p = np.zeros((k,) + shape, dtype=np.complex128)
     q = np.empty_like(p)
+    wp = np.broadcast_to(w, p.shape).copy()
     p[0] = next(coefs)
-    zw_w = np.stack((zw, w))[:, None]
     total = None
     if scale:
-        aw = np.abs(w)
+        aw = np.broadcast_to(np.abs(w), shape).copy()
         total = np.full(shape, next(sizes))
         size, term = np.empty(z.shape), np.empty(shape)
+        fsize = size.reshape(-1)
     a = basis.alphas
     # each step's (conj alpha_j, alpha_j), shaped to broadcast against fg
-    pairs = np.stack((basis.alpha_bar, a), axis=1).reshape(
-        a.shape + (2,) + (1,) * (fg.ndim - 1))
+    pairs = np.stack((basis.alpha_bar, a), axis=1).reshape(a.shape + (2, 1, 1))
     for pair, (_, _, s), ej in zip(pairs, basis.steps, coefs):
-        np.multiply(zw_w, fg, out=x)  # (zw f, w g)
+        np.multiply(mul, fg, out=x)  # (zw f, w g)
         if derivs:
-            np.multiply(w, f0, out=y00)
+            np.multiply(wf, f0, out=y00)
             np.add(x01, y00, out=x01)  # zw phi' + w phi
         np.multiply(pair, xr, out=y)  # (conj(alpha) w g, alpha zw f)
         np.subtract(x, y, out=fg)
         fv *= s
         np.multiply(ej, f, out=q)
-        np.multiply(w, p, out=p)
+        np.multiply(wp, p, out=p)
         p += q
         if scale:
-            np.abs(f0, out=size)
+            np.abs(f0, out=fsize)
             np.multiply(size, next(sizes), out=term)
             np.multiply(aw, total, out=total)
             total += term

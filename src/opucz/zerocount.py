@@ -52,7 +52,7 @@ from .errors import (
     NoConvergence,
     UsageError,
 )
-from .opuc import OpucBasis, eval_poly, gauss_jacobi
+from .opuc import OpucBasis, eval_poly, gather_degrees, gauss_jacobi
 
 DEGENERATE_LEAD = 1e-300
 STEP_ULPS = 8
@@ -64,7 +64,7 @@ _GL_NODES, _GL_WEIGHTS = gauss_jacobi(12)  # the audit's panel rule on [-1, 1]
 _PANEL_TOL = 1e-11
 _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
-_CHUNK_POINTS = 2 ** 16  # pairwise terms per chunk: 1 MB complex, 0.5 MB real
+_CHUNK_POINTS = 2 ** 15  # pairwise terms per chunk: 512 KB complex, 256 KB real
 _MODEL_SPREAD = 1.0 / math.sqrt(_EPS)  # sample spread a monomial model may have
 
 
@@ -256,19 +256,22 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table):
     its rounding; the looser bound costs no work per degree, and lets an
     approximation settle about where the model, whose coefficients are off
     by about eps max |P|, stops being more accurate anyway.
+
+    Each point reads its coefficients from table column rows (or t + rows
+    where |z| > 1), gathered a block of degrees at a time (gather_degrees):
+    one take per block of at most 512 KB, not one per degree.
     """
     t, n = coefs.shape[0], coefs.shape[1] - 1
     table, sums = table
     out = np.abs(z) > 1.0
     u = np.divide(1.0, z, out=z.copy(), where=out)  # z inside, 1/z outside
-    at = rows + t * out
-    c = np.empty_like(z)
-    p, dp = table[0].take(at), np.zeros_like(z)
-    for cj in table[1:]:
+    column = gather_degrees(table, rows + t * out)
+    p, dp = next(column).copy(), np.zeros_like(z)
+    for cj in column:
         dp *= u
         dp += p
         p *= u
-        p += cj.take(at, out=c)
+        p += cj
     return p, np.where(out, u * (n * p - u * dp), dp), sums.take(rows)
 
 
@@ -346,12 +349,14 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
     check(z, rows=rows), when given, gives P and the scale alone, with the
     bits evaluate gives them: every start is tested once against the
     rounding bound by it, and only the starts that fail reach evaluate, so
-    starts that are already roots cost no derivatives.  The result is the
-    same as without check.
+    starts that are already roots cost no derivatives.  It is asked for the
+    whole block at once, z0 itself with rows of shape (T, 1), so each
+    degree reads T coefficients rather than one per start.  The result is
+    the same as without check.
 
     The repulsion sums run over chunks of the live approximations (see
     _repulsion), never over an (n x live) array: each chunk's temporaries
-    hold at most 1 MB, and each sum adds its terms in j order.
+    hold at most 512 KB, and each sum adds its terms in j order.
     """
     z = np.array(z0, dtype=np.complex128)
     n = z.shape[1]
@@ -362,7 +367,8 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
     failed = np.zeros(z.shape[0], dtype=bool)
     live = np.arange(z.size)  # flat indices of moving approximations
     if check is not None and live.size:
-        pl, sl = check(flat, rows=live // n)
+        each_row = np.arange(z.shape[0])[:, None]
+        pl, sl = (x.reshape(-1) for x in check(z, rows=each_row))
         done = np.abs(pl) <= _roundoff(n, sl)
         at = live[done]
         p.flat[at], scale.flat[at] = pl[done], sl[done]
@@ -393,8 +399,9 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
 
 
 def _chunks(z: np.ndarray, count: int):
-    """Slices of at most 2**16 // n consecutive points out of `count`, with
-    z.T in C order: each chunk's (n, width) temporaries hold at most 1 MB."""
+    """Slices of at most _CHUNK_POINTS // n = 2**15 // n consecutive points
+    out of `count`, with z.T in C order: each chunk's (n, width) tables
+    hold at most 512 KB complex (256 KB real), whatever n and count are."""
     width = max(1, _CHUNK_POINTS // z.shape[1])
     return np.ascontiguousarray(z.T), [slice(lo, lo + width)
                                        for lo in range(0, count, width)]

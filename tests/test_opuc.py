@@ -158,6 +158,20 @@ def test_eval_poly_block_rows_match_single_vectors():
         eval_poly(b, etas, z)  # a block needs rows
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_values_at_refuses_non_finite_point(bad):
+    # a usage error, not phi_0 = 1 followed by NaN at every other degree.
+    # eval_poly checks no point, and gives NaN at a NaN point: _aberth
+    # reads that as a failed row
+    b = alpha_family("zero").build(5)
+    for derivs in (False, True):
+        with pytest.raises(UsageError, match="point must be finite"):
+            b.values_at(bad, derivs=derivs)
+    if np.isnan(bad):
+        assert all(np.isnan(x).all()
+                   for x in eval_poly(b, np.ones(6), [bad], derivs=True))
+
+
 def _values_at_oracle(basis, z, upto=None, derivs=False):
     """The recursion of values_at as a loop over numpy scalars that divides
     by each norm."""
@@ -265,15 +279,20 @@ def test_eval_poly_shared_points_bit_for_bit_against_rows(fam, n):
     # m points; every row and point gets the bits of the same points tiled
     # per row, each naming its row.  The roots of unity at n = 37 include
     # two that round to |z| > 1; the ring at 1.3 lies outside throughout.
-    # Skipping the scale leaves P and P' as they were.
+    # The same rows against (T, m) points of their own, inside and outside
+    # the disk (the shape of _aberth's value-only check), give the bits of
+    # per-point rows too.  Skipping the scale leaves P and P' as they were.
     b = alpha_family(fam).build(n)
     rng = np.random.default_rng(n)
     roots_of_unity = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     ring = 1.3 * np.exp(2j * np.pi * (np.arange(n + 1) + 0.1) / (n + 1))
     for t in (1, 7, 32):
         etas = rng.standard_normal((t, n + 1)) + 1j * rng.standard_normal((t, n + 1))
-        for zs in (roots_of_unity, ring):
-            tiled = np.tile(zs, (t, 1))
+        # every row's own points alternate between |z| = 0.6 and 1.4
+        own = np.where(np.arange(n + 1) % 2, 1.4, 0.6) * np.exp(
+            2j * np.pi * rng.random((t, n + 1)))
+        for zs, tiled in ((roots_of_unity, np.tile(roots_of_unity, (t, 1))),
+                          (ring, np.tile(ring, (t, 1))), (own, own)):
             rows = np.repeat(np.arange(t), n + 1).reshape(t, n + 1)
             for derivs in (False, True):
                 want = eval_poly(b, etas, tiled, derivs=derivs, rows=rows)

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import opucz.opuc as opuc
 import opucz.zerocount as zerocount
 from opucz.errors import (
     BoundaryProximity,
@@ -717,6 +718,69 @@ def test_roots_memory_bounded():
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("n", [37, 200])
+def test_bits_independent_of_gather_and_chunk_sizes(monkeypatch, n):
+    # how many degrees one take gathers and how many points one pairwise
+    # chunk holds change no bit.  _GATHER_TERMS = 1 gathers one degree at
+    # a time, 7 two degrees at a time for the 3-row reads of the value
+    # check and the circle samples; _CHUNK_POINTS = 2**6 makes chunks of
+    # one point at both n, and 2**16 is the size before 2**15
+    basis = alpha_family("weight:jacobi:pi:1").build(n)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(23, t)) for t in range(3)])
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    table = zerocount._horner_table(coefs)
+    rng = np.random.default_rng(n)
+    z = 1.5 * np.sqrt(rng.random((3, n))) * np.exp(2j * np.pi * rng.random((3, n)))
+    assert (np.abs(z) > 1).any() and (np.abs(z) < 1).any()
+    rows, pos = np.divmod(np.arange(z.size), n)
+    p, scale = (x.reshape(z.shape) for x in eval_poly(basis, etas, z.reshape(-1),
+                                                      rows=rows))
+
+    def outcome():
+        got = [*zerocount._horner(coefs, z.reshape(-1), rows, table),
+               zerocount._repulsion(z, z.reshape(-1), rows, pos),
+               *zerocount._inclusion_radii(basis, etas, z, p, scale)]
+        for zs in roots(basis, etas):
+            got += [zs.roots, zs.residuals, zs.radii]
+        return [_bits(x) for x in got]
+
+    want = outcome()
+    for gather in (1, 7, 2 ** 15):
+        for chunk in (2 ** 6, 2 ** 10, 2 ** 15, 2 ** 16):
+            monkeypatch.setattr(opuc, "_GATHER_TERMS", gather)
+            monkeypatch.setattr(zerocount, "_CHUNK_POINTS", chunk)
+            assert outcome() == want, (gather, chunk)
+
+
+def test_block_evaluations_memory_bounded():
+    # on a 32-row block at n = 400 (12,800 points), _horner, _repulsion and
+    # _inclusion_radii each allocate at most 2 MB beyond their inputs and
+    # outputs: a gathered block of degrees and a pairwise chunk hold at
+    # most 512 KB each, where one gather of every degree would take 82 MB
+    n, t = 400, 32
+    basis = alpha_family("decay:1:1").build(n)
+    rng = np.random.default_rng(40)
+    coefs = rng.standard_normal((t, n + 1)) + 1j * rng.standard_normal((t, n + 1))
+    table = zerocount._horner_table(coefs)
+    z = 1.5 * np.sqrt(rng.random((t, n))) * np.exp(2j * np.pi * rng.random((t, n)))
+    rows, pos = np.divmod(np.arange(z.size), n)
+    p, scale = z * 1e-14, np.ones(z.shape)
+    calls = {"_horner": lambda: zerocount._horner(coefs, z.reshape(-1), rows, table),
+             "_repulsion": lambda: (zerocount._repulsion(z, z.reshape(-1), rows, pos),),
+             "_inclusion_radii": lambda: zerocount._inclusion_radii(
+                 basis, coefs, z, p, scale)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - sum(x.nbytes for x in got)
+        assert extra <= 2 * 2 ** 20, (name, extra)
+
+
 def _nan_starts(basis, etas):
     """NaN starts: their values are checked first, like every start's."""
     return np.full((etas.shape[0], basis.order), np.nan + 0j)
@@ -1199,11 +1263,12 @@ def test_settle_from_eigenvalue_starts_bit_for_bit(monkeypatch):
                                  "constant:0.5"])
 def test_settle_checks_values_before_derivatives(monkeypatch, fam):
     # the first basis call of a block's settle computes no derivatives and
-    # sees every start; the first call with derivatives sees exactly the
-    # ones that missed the rounding bound, and no later call sees a start
-    # that met it.  On the first three families every row starts from its
-    # model's roots and under a tenth of the starts miss; every
-    # constant:0.5 row starts on the circle, and every circle start misses
+    # sees every start, as the (T, n) block itself with one row index per
+    # row; the first call with derivatives sees exactly the ones that
+    # missed the rounding bound, and no later call sees a start that met
+    # it.  On the first three families every row starts from its model's
+    # roots and under a tenth of the starts miss; every constant:0.5 row
+    # starts on the circle, and every circle start misses
     n = 100
     basis = alpha_family(fam).build(n)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"),
@@ -1224,7 +1289,7 @@ def test_settle_checks_values_before_derivatives(monkeypatch, fam):
     monkeypatch.setattr(zerocount, "eval_poly", recording)
     assert all(zs.radii.all() for zs in roots(basis, etas))
     (first, z, (p, scale)), *rest = calls
-    assert not first and _bits(z) == _bits(z0.reshape(-1))
+    assert not first and _bits(z) == _bits(z0)
     missed = np.abs(p) > zerocount._roundoff(n, scale)
     if fam == "constant:0.5":
         assert missed.all()
