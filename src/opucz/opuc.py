@@ -188,7 +188,10 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
     and multiplies the float view by 1 / rho_j, which gives the bits of
     numpy's division by rho_j.  Every point still gets the operations of
     the plain two-array recursion, in the same order and with the same
-    operand order, so the values are bit-identical to it.
+    operand order, so the values are bit-identical to it.  No complex
+    product is taken in place, or against an operand of fewer dimensions:
+    numpy 2.x gives either other bits where the product has one element,
+    so a point alone would differ from the same point in an array.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -203,7 +206,10 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
         rows = np.asarray(rows)
         shape = np.broadcast_shapes(z.shape, rows.shape)
         z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
-        coefs = gather_degrees(np.ascontiguousarray(eta.T), rows)
+        # gathered at the ndim of the state they multiply: a one-element
+        # product against fewer dimensions gets other bits (see above)
+        coefs = gather_degrees(np.ascontiguousarray(eta.T), rows.reshape(
+            (1,) * (len(shape) + 1 - rows.ndim) + rows.shape))
         if scale:
             sizes = gather_degrees(np.ascontiguousarray(np.abs(eta).T), rows)
     out = np.abs(z) > 1.0
@@ -224,9 +230,9 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
     if derivs:
         wf, x01, y00 = w.reshape(-1), x[0, 1], y[0, 0]
     p = np.zeros((k,) + shape, dtype=np.complex128)
-    q = np.empty_like(p)
+    q, r = np.empty_like(p), np.empty_like(p)
     wp = np.broadcast_to(w, p.shape).copy()
-    p[0] = next(coefs)
+    p[:1] = next(coefs)
     total = None
     if scale:
         aw = np.broadcast_to(np.abs(w), shape).copy()
@@ -245,8 +251,8 @@ def eval_poly(basis: OpucBasis, eta, z, derivs: bool = False, rows=None,
         np.subtract(x, y, out=fg)
         fv *= s
         np.multiply(ej, f, out=q)
-        np.multiply(wp, p, out=p)
-        p += q
+        np.multiply(wp, p, out=r)
+        np.add(r, q, out=p)
         if scale:
             np.abs(f0, out=fsize)
             np.multiply(size, next(sizes), out=term)

@@ -7,12 +7,15 @@ Two independent counting routes, both working in the basis itself:
     recursion, certified by one test: each root against eta, and each row's
     root set by disjoint inclusion disks.  A row starts from the roots of
     its monomial model (FFT of circle samples, a closed-form first step
-    from the circle, then Horner steps of the same iteration), or on the
-    unit circle where the model is not to be trusted; a row that this does
-    not prove starts again from the eigenvalues of its comrade matrix (the
-    GGT matrix of multiplication by z, changed by rank one).  Each start
-    is first checked by P alone, so a start that is already a root costs
-    no derivatives.  Then a point-in-region test on each root.
+    from the circle, then Horner steps of the same iteration, each root
+    leaving the model once its Newton correction is under 1e-8 and taking
+    that correction as its last step), or on the unit circle where the
+    model is not to be trusted; a row that this does not prove starts
+    again from the eigenvalues of its comrade matrix (the GGT matrix of
+    multiplication by z, changed by rank one).  Each start is first
+    checked by P alone, so a start that is already a root costs no
+    derivatives: most model starts are, and most blocks evaluate P' in the
+    basis nowhere.  Then a point-in-region test on each root.
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs: one array row per circle arc or segment,
@@ -34,7 +37,10 @@ Importing the module, and every trial it solves, loads numpy's core alone:
 the audit's Gauss-Legendre rule is opuc.gauss_jacobi's, not
 numpy.polynomial's, and the iteration marks failed rows in a boolean mask
 rather than calling np.unique, which in numpy 2.x imports numpy.ma on its
-first call.
+first call.  No complex product that can have one element is taken in
+place or against an operand of fewer dimensions: numpy 2.x gives such a
+product other bits than the same product inside a longer array, and a row
+alone would differ from the row in a block.
 """
 from __future__ import annotations
 
@@ -66,6 +72,11 @@ _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
 _PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
 _CHUNK_POINTS = 2 ** 15  # pairwise terms per chunk: 512 KB complex, 256 KB real
 _MODEL_SPREAD = 1.0 / math.sqrt(_EPS)  # sample spread a monomial model may have
+# a model root leaves the model stage once its Newton correction is at most
+# this much of max(1, |z|), about half its digits, and takes that correction
+# as its last step: Newton's quadratic convergence then brings it within
+# about 1e-16 of the model's root, where the basis check meets most starts
+_MODEL_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -259,7 +270,9 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table):
 
     Each point reads its coefficients from table column rows (or t + rows
     where |z| > 1), gathered a block of degrees at a time (gather_degrees):
-    one take per block of at most 512 KB, not one per degree.
+    one take per block of at most 512 KB, not one per degree.  Each
+    product goes to a second buffer, swapped in, never in place: a single
+    live point would get other bits in place (see the module docstring).
     """
     t, n = coefs.shape[0], coefs.shape[1] - 1
     table, sums = table
@@ -267,11 +280,14 @@ def _horner(coefs: np.ndarray, z: np.ndarray, rows: np.ndarray, table):
     u = np.divide(1.0, z, out=z.copy(), where=out)  # z inside, 1/z outside
     column = gather_degrees(table, rows + t * out)
     p, dp = next(column).copy(), np.zeros_like(z)
+    q = np.empty_like(z)  # each product's own buffer, swapped in
     for cj in column:
-        dp *= u
-        dp += p
-        p *= u
-        p += cj
+        np.multiply(dp, u, out=q)
+        np.add(q, p, out=q)
+        dp, q = q, dp
+        np.multiply(p, u, out=q)
+        np.add(q, cj, out=q)
+        p, q = q, p
     return p, np.where(out, u * (n * p - u * dp), dp), sums.take(rows)
 
 
@@ -317,6 +333,15 @@ def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
     to be trusted: its samples spread by more than 1/sqrt(eps), so the
     coefficients hold fewer than half their digits, or its first step or
     the iteration on the model ended with a non-finite point.
+
+    The model stage lets a root go once its Newton correction N on the
+    model is at most _MODEL_STEP = 1e-8 of max(1, |z|), and moves it by
+    that N, already computed, as its last step.  Newton's quadratic
+    convergence takes such a root to within about 1e-16 of the model's
+    root, the accuracy the basis check needs, at no extra evaluation: most
+    starts meet the rounding bound in the basis, and most blocks take no
+    step with derivatives there.  The basis stage's grounds, proof and
+    rule that a settled root never moves are its own.
     """
     z = _circle(etas.shape[0], basis.order)
     coefs, spread = _monomial_coefficients(basis, etas)
@@ -326,13 +351,13 @@ def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
         ok = np.isfinite(z1).all(axis=1)
         model, cm = model[ok], coefs[model[ok]]
         zm = _aberth(functools.partial(_horner, cm, table=_horner_table(cm)),
-                     z1[ok])[0]
+                     z1[ok], finish=True)[0]
         fine = np.isfinite(zm).all(axis=1)
         z[model[fine]] = zm[fine]
     return z
 
 
-def _aberth(evaluate, z0: np.ndarray, check=None):
+def _aberth(evaluate, z0: np.ndarray, check=None, finish=False):
     """Simultaneous Aberth-Ehrlich iteration from the starts z0, one row of
     n approximations per polynomial.
 
@@ -345,6 +370,14 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
     Newton correction of at most STEP_ULPS ulps of max(1, |z|).  A row with
     a non-finite approximation fails and leaves the iteration.  Returns z,
     and P and the scale at each settled approximation, and which settled.
+
+    finish=True, for the model stage of _starts alone, adds a third way to
+    settle, a Newton correction N of at most _MODEL_STEP of max(1, |z|),
+    and moves every settling approximation by its N as a last step; P and
+    the scale returned are those before it, and an N that is not finite
+    leaves the point non-finite, so _starts keeps the row's circle start.
+    Without finish a settled approximation never moves, the rule the
+    certificate in the basis needs.
 
     check(z, rows=rows), when given, gives P and the scale alone, with the
     bits evaluate gives them: every start is tested once against the
@@ -383,6 +416,9 @@ def _aberth(evaluate, z0: np.ndarray, check=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pl / dpl
         done = (np.abs(pl) <= _roundoff(n, sl)) | _tiny(newton, zl)
+        if finish:
+            done |= np.abs(newton) <= _MODEL_STEP * np.maximum(1.0, np.abs(zl))
+            flat[live[done]] = zl[done] - newton[done]
         at = live[done]
         p.flat[at], scale.flat[at] = pl[done], sl[done]
         settled.flat[at] = True
@@ -558,16 +594,20 @@ def roots(basis: OpucBasis, eta):
     shape (T, n+1).  The block's rows go through the Aberth iteration
     together, and their roots are settled and certified through eval_poly
     on eta from one of three starts: the roots of each row's monomial model
-    (see _starts), the unit circle where a row's samples spread by more
-    than 1/sqrt(eps), and, for the rows that this does not prove, their
-    comrade eigenvalues.  A root is certified by the test that stops the
-    iteration: a residual of at most 4 (n+1) eps, or a last Newton
-    correction of at most 8 ulps of max(1, |z|) (see ZeroSet).  A row is
-    proven when its roots are certified and its inclusion disks pairwise
-    disjoint; one not proven from its eigenvalues is refused, unless only
-    its disks overlap (radii 0).  No row depends on the others in its block,
-    and a row times a power of two that rounds none of its entries gives
-    the same bits.
+    (see _starts), each finished by its own Newton step on the model, the
+    unit circle where a row's samples spread by more than 1/sqrt(eps),
+    and, for the rows that this does not prove, their comrade eigenvalues.
+    Every start is checked by P alone first, and only the ones that miss
+    the rounding bound take steps that evaluate P' in the basis: few model
+    starts, and in practice every circle start.  A root is certified by
+    the test that stops the iteration: a residual of at most 4 (n+1) eps,
+    or a last Newton correction of at most 8 ulps of max(1, |z|) (see
+    ZeroSet).  A row is proven when its roots are certified and its
+    inclusion disks pairwise disjoint; one not proven from its eigenvalues
+    is refused, unless only its disks overlap (radii 0).  No row depends
+    on the others in its block, down to the bits, even as the block's one
+    row, and a row times a power of two that rounds none of its entries
+    gives the same bits.
 
     One vector gives a ZeroSet, or raises NoConvergence /
     DegenerateLeadingCoefficient.  A block gives a list with one entry per

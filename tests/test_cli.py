@@ -518,10 +518,9 @@ def test_region_grammar_total():
             parse_region(bad)
 
 
-def test_readme_commands_golden(tmp_path, capsys, monkeypatch):
+def test_readme_commands_golden(tmp_path, capsys):
     # the exact output of the README's commands (simulate and convergence
     # with fewer trials and degrees); any change to these bytes is deliberate
-    monkeypatch.delenv("OPUCZ_THREADS", raising=False)
     printed = {
         ("variance-limit", "--s", "0.3", "--t", "0.6", "--method", "closed"):
             "0.373505518735\n",

@@ -158,6 +158,31 @@ def test_eval_poly_block_rows_match_single_vectors():
         eval_poly(b, etas, z)  # a block needs rows
 
 
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1"])
+def test_eval_poly_one_point_bits_match_array(fam):
+    # a point alone, as a 0-d or one-element array, gets the bits it gets
+    # inside an array: numpy multiplies a one-element complex array in
+    # place, or against an operand of other ndim, with other bits
+    rng = np.random.default_rng(11)
+    b = alpha_family(fam).build(20)
+    etas = rng.standard_normal((3, 21)) + 1j * rng.standard_normal((3, 21))
+    z = 1.4 * rng.random(50) * np.exp(2j * np.pi * rng.random(50))
+    rows = rng.integers(0, 3, z.size)
+    for derivs in (False, True):
+        full = eval_poly(b, etas[1], z, derivs=derivs)
+        block = eval_poly(b, etas, z, derivs=derivs, rows=rows)
+        for k in range(z.size):
+            for got, want in (
+                    (eval_poly(b, etas[1], z[k], derivs=derivs), full),
+                    (eval_poly(b, etas[1], z[k:k + 1], derivs=derivs), full),
+                    (eval_poly(b, etas, z[k:k + 1], derivs=derivs,
+                               rows=rows[k:k + 1]), block),
+                    (eval_poly(b, etas, z[k:k + 1, None], derivs=derivs,
+                               rows=rows[k:k + 1, None]), block)):
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w[k].tobytes(), (k, derivs)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_values_at_refuses_non_finite_point(bad):
     # a usage error, not phi_0 = 1 followed by NaN at every other degree.

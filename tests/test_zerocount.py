@@ -343,6 +343,23 @@ def test_block_rows_match_rows_alone():
                 assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 37])
+def test_row_alone_matches_its_block_bit_for_bit(fam, n):
+    # a row solved alone gets the roots, residuals and radii it gets inside
+    # a 6-row block, at n = 1 too, where every live set and every model
+    # product of a row alone has one element
+    basis = alpha_family(fam).build(n)
+    for seed in range(5):
+        etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                     trial_seed(seed, t)) for t in range(6)])
+        for eta, zs in zip(etas, roots(basis, etas)):
+            alone = roots(basis, eta)
+            for got, want in zip((zs.roots, zs.residuals, zs.radii),
+                                 (alone.roots, alone.residuals, alone.radii)):
+                assert _bits(got) == _bits(want), seed
+
+
 @pytest.mark.parametrize("fam,n,model", [
     *[(f, n, "gaussian") for f in ("zero", "decay:1:1", "weight:jacobi:pi:1")
       for n in (25, 100, 200)],
@@ -418,7 +435,7 @@ def test_panel_budget_flags_mass_point_quickly():
     assert time.process_time() - t0 < 1.0
 
 
-def _aberth_oracle(evaluate, z0):
+def _aberth_oracle(evaluate, z0, finish=False):
     """zerocount._aberth with its repulsion summed one column j at a time,
     masked at j = i."""
     z = np.array(z0, dtype=np.complex128)
@@ -437,6 +454,10 @@ def _aberth_oracle(evaluate, z0):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pl / dpl
         done = (np.abs(pl) <= zerocount._roundoff(n, sl)) | zerocount._tiny(newton, zl)
+        if finish:  # the model stage: settle at 1e-8 and take the last step
+            done |= np.abs(newton) <= 1e-8 * np.maximum(1.0, np.abs(zl))
+            for i in np.flatnonzero(done):
+                flat[live[i]] = zl[i] - newton[i]
         at = live[done]
         p.flat[at], dp.flat[at], scale.flat[at] = pl[done], dpl[done], sl[done]
         settled.flat[at] = True
@@ -540,11 +561,12 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
     circle = zerocount._circle(block, n)
     model = functools.partial(zerocount._horner, coefs,
                               table=zerocount._horner_table(coefs))
-    for evaluate, z0 in ((model, circle),
-                         (in_basis, circle),
-                         (in_basis, zerocount._starts(basis, etas))):
-        got = zerocount._aberth(evaluate, z0)
-        z, p, _, scale, settled = _aberth_oracle(evaluate, z0)
+    for evaluate, z0, finish in ((model, circle, False),
+                                 (model, circle, True),
+                                 (in_basis, circle, False),
+                                 (in_basis, zerocount._starts(basis, etas), False)):
+        got = zerocount._aberth(evaluate, z0, finish=finish)
+        z, p, _, scale, settled = _aberth_oracle(evaluate, z0, finish)
         for g, w in zip(got, (z, p, scale, settled)):
             assert _bits(g) == _bits(w)
     rad, gap = _inclusion_radii_oracle(basis, etas, z, p, scale)
@@ -1267,8 +1289,9 @@ def test_settle_checks_values_before_derivatives(monkeypatch, fam):
     # row; the first call with derivatives sees exactly the ones that
     # missed the rounding bound, and no later call sees a start that met
     # it.  On the first three families every row starts from its model's
-    # roots and under a tenth of the starts miss; every constant:0.5 row
-    # starts on the circle, and every circle start misses
+    # roots, each finished by its own Newton step, and under 0.5% of the
+    # starts miss, so most blocks take no derivative pass; every
+    # constant:0.5 row starts on the circle, and every circle start misses
     n = 100
     basis = alpha_family(fam).build(n)
     etas = np.array([sample_poly(basis, coeff_model("gaussian"),
@@ -1294,8 +1317,8 @@ def test_settle_checks_values_before_derivatives(monkeypatch, fam):
     if fam == "constant:0.5":
         assert missed.all()
     else:
-        assert 0 < np.count_nonzero(missed) < 0.1 * z.size
+        assert np.count_nonzero(missed) < 0.005 * z.size
     met = set(z[~missed].tolist())
     assert not any(met & set(zz.tolist()) for _, zz, _ in rest)
     assert all(derivs for derivs, _, _ in rest)
-    assert _bits(rest[0][1]) == _bits(z[missed])
+    assert _bits(rest[0][1]) == _bits(z[missed]) if missed.any() else not rest
