@@ -159,11 +159,11 @@ def _block_counts(job) -> tuple:
                  if isinstance(zs, ZeroSet)), default=0.0)
     audited = flagged = 0
     mismatched = []
-    for eta, count, t in zip(etas, counts, range(lo, hi)):
+    for eta, zs, count, t in zip(etas, found, counts, range(lo, hi)):
         if t % AUDIT_STRIDE or isinstance(count, str):
             continue
-        try:
-            check = count_by_argument_principle(basis, eta, region)
+        try:  # the certified roots only grade the audit's first panels
+            check = count_by_argument_principle(basis, eta, region, zs.roots)
         except BoundaryProximity:
             flagged += 1
             continue

@@ -399,9 +399,12 @@ def moments_from_weight(w: WeightSpec, count: int) -> np.ndarray:
     k <= count, turns by at most MOMENT_PANEL_PHASE radians.  A panel that
     ends at an angle theta_j takes the Gauss-Jacobi rule for the power
     |theta - theta_j|^e_j there, so any e_j > 0 is integrated exactly; the
-    others take Gauss-Legendre.  The moments of the two rule sizes in
-    MOMENT_RULES must agree within MOMENT_TOL, or QuadratureNotConverged is
-    raised: two angles closer than a panel, say, leave a kink inside one.
+    others take Gauss-Legendre.  An end panel longer than its distance to
+    the next angle beyond its end (angles closer than a panel) is split
+    geometrically toward that end until no piece of it is; pieces with no
+    such angle keep their equal panels.  The moments of the two rule sizes
+    in MOMENT_RULES must agree within MOMENT_TOL, or QuadratureNotConverged
+    is raised.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
@@ -425,15 +428,32 @@ def moments_from_weight(w: WeightSpec, count: int) -> np.ndarray:
                               local).view(np.complex128)
             yield np.sum(outer * inner, axis=0)
 
+    def toward(end, sign, centre, half, gap, e):
+        # the end panel about centre, split geometrically toward `end` until
+        # no piece is longer than gap, its distance to the next angle beyond
+        # end; the piece at end takes end's exponent e: (centres, half, a, b)
+        while 2.0 * half > gap:
+            half *= 0.5
+            yield np.array([end + sign * 3.0 * half]), half, 0.0, 0.0
+            centre = np.array([end + sign * half])
+        yield (centre, half, 0.0, e) if sign > 0 else (centre, half, e, 0.0)
+
     c = np.zeros((len(MOMENT_RULES), count + 1), dtype=np.complex128)
-    for lo, hi, b, a in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:]):
+    for i, (lo, hi, b, a) in enumerate(zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:])):
         n = math.ceil((hi - lo) * (count + 1) / MOMENT_PANEL_PHASE)
+        below = lo - cuts[i - 1] if i > 0 and ends[i - 1] > 0 else math.inf
+        above = cuts[i + 2] - hi if i + 2 < len(cuts) and ends[i + 2] > 0 else math.inf
+        # a lone panel with a close angle beyond an end becomes two, so
+        # that each end panel is split toward its own end
+        n = max(n, 2) if hi - lo > min(below, above) else n
         half = (hi - lo) / (2 * n)
         centres = lo + half * np.arange(1, 2 * n, 2)
-        groups = ([(centres, a, b)] if n == 1 else [(centres[:1], 0.0, b),
-                  (centres[1:-1], 0.0, 0.0), (centres[-1:], a, 0.0)])
-        for cs, ea, eb in groups:
-            c += list(panels(cs, half, lo, hi, ea, eb))
+        groups = [(centres, half, a, b)] if n == 1 else [
+            *toward(lo, 1.0, centres[:1], half, below, b),
+            (centres[1:-1], half, 0.0, 0.0),
+            *toward(hi, -1.0, centres[-1:], half, above, a)]
+        for cs, hf, ea, eb in groups:
+            c += list(panels(cs, hf, lo, hi, ea, eb))
     coarse, fine = c / c[:, :1].real
     if not np.max(np.abs(fine - coarse)) < MOMENT_TOL:
         raise QuadratureNotConverged(
@@ -564,8 +584,10 @@ def alpha_family(spec: str) -> AlphaFamily:
     """Parse a coefficient family name.
 
     Grammar: zero | constant:<a> | decay:<c>:<p> | file:<path> |
-    weight:lebesgue | weight:cosine | weight:jacobi:<theta>:<exponent>.
-    decay:c:p generates alpha_j = c / (j + 2)^p.
+    weight:lebesgue | weight:cosine |
+    weight:jacobi:<theta1>:<exponent1>[:<theta2>:<exponent2>...].
+    decay:c:p generates alpha_j = c / (j + 2)^p; weight:jacobi takes the
+    weight prod_j |theta - theta_j|^exponent_j, one pair per angle.
     """
     parts = spec.strip().split(":")
     head = parts[0]
@@ -606,10 +628,10 @@ def alpha_family(spec: str) -> AlphaFamily:
             w = WeightSpec.lebesgue()
         elif wkind == "cosine" and len(parts) == 2:
             w = WeightSpec.cosine_bump()
-        elif wkind == "jacobi" and len(parts) == 4:
-            th = parse_scalar(parts[2], "jacobi angle")
-            ex = parse_scalar(parts[3], "jacobi exponent")
-            w = WeightSpec.generalized_jacobi([th], [ex])
+        elif wkind == "jacobi" and len(parts) >= 4 and len(parts) % 2 == 0:
+            th = [parse_scalar(x, "jacobi angle") for x in parts[2::2]]
+            ex = [parse_scalar(x, "jacobi exponent") for x in parts[3::2]]
+            w = WeightSpec.generalized_jacobi(th, ex)
         else:
             raise UsageError(f"unknown weight family: {spec!r}")
 

@@ -19,7 +19,9 @@ Two independent counting routes, both working in the basis itself:
   * count_by_argument_principle: (1/2 pi i) times the contour integral of
     P'/P around the region boundary, by adaptive composite Gauss-Legendre
     panels on its smooth arcs: one array row per circle arc or segment,
-    all evaluated by one expression.  The result must land within 0.1 of
+    all evaluated by one expression, the first panels graded toward the
+    points of an optional hint (mc passes the row's certified roots) that
+    changes no rule, test or limit.  The result must land within 0.1 of
     an integer; drifting further, or spending the panel budget, means a
     zero sits too close to the boundary and the count is refused rather
     than guessed.
@@ -68,8 +70,14 @@ INTEGER_SLACK = 0.1
 _EPS = np.finfo(float).eps
 _GL_NODES, _GL_WEIGHTS = gauss_jacobi(12)  # the audit's panel rule on [-1, 1]
 _PANEL_TOL = 1e-11
-_MAX_DEPTH = 44  # panel width floor 0.125 * 2^-44, still above parameter eps
-_PANEL_BUDGET = 5_000  # panels per contour count; ordinary counts use under 250
+_MAX_DEPTH = 44  # panel width floor 0.125 * 2^-47 when graded, above parameter eps
+# panels per contour count: settled counts of 25 <= n <= 200 spend up to
+# about 950 (A(0.8, 0.95), n = 200), refusals the whole budget
+_PANEL_BUDGET = 5_000
+# how the contour count's first panels are graded toward a hint (see _first_panels)
+_GRADE_FACTOR = 1.0
+_GRADE_HALVINGS = 3
+_GRADE_FLOOR = 1e-3
 _CHUNK_POINTS = 2 ** 15  # pairwise terms per chunk: 512 KB complex, 256 KB real
 _MODEL_SPREAD = 1.0 / math.sqrt(_EPS)  # sample spread a monomial model may have
 # a model root leaves the model stage once its Newton correction is at most
@@ -646,7 +654,34 @@ def _panel_integrals(basis: OpucBasis, eta: np.ndarray, arcs, arc, a, b):
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs):
+def _first_panels(arcs: np.ndarray, near):
+    """The first level's panels (arc, a, b): eight equal ones per boundary
+    row, each halved while it is longer than _GRADE_FACTOR times the
+    distance from its midpoint to the nearest point of near, at most
+    _GRADE_HALVINGS times and never below _GRADE_FLOOR in length.  Halving
+    only adds breakpoints: those of the eight equal panels all stay."""
+    arc = np.repeat(np.arange(len(arcs)), 8)
+    a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
+    b = a + 0.125
+    if near is None or near.size == 0:
+        return arc, a, b
+    # |dz/dt| is constant along each row: a panel's length is it times b - a
+    speed = np.abs(_arc_points(arcs, np.arange(len(arcs)), np.zeros(1))[1][:, 0])
+    for _ in range(_GRADE_HALVINGS):
+        mid = 0.5 * (a + b)
+        length = speed[arc] * (b - a)
+        dist = np.abs(_arc_points(arcs, arc, mid[:, None])[0] - near).min(axis=1)
+        split = (length > _GRADE_FACTOR * dist) & (0.5 * length >= _GRADE_FLOOR)
+        if not split.any():
+            break
+        keep = ~split
+        arc = np.concatenate([arc[keep], arc[split], arc[split]])
+        a, b = (np.concatenate([a[keep], a[split], mid[split]]),
+                np.concatenate([b[keep], mid[split], b[split]]))
+    return arc, a, b
+
+
+def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs, near=None):
     # breadth-first local refinement: a panel is accepted once splitting it
     # stops moving its estimate, so a pole at distance d from the arc costs
     # log(1/d) subdivisions instead of the 1/d a uniform grid would need.
@@ -654,10 +689,9 @@ def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs):
     # without it, roundoff in high-degree integrands (|terms| >> |sum|)
     # would keep panels churning forever.  Each level evaluates both halves
     # of every open panel of every arc in one eval_poly call; the first
-    # level evaluates the eight initial panels of each arc in that call too.
-    arc = np.repeat(np.arange(len(arcs)), 8)
-    a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
-    b = a + 0.125
+    # level evaluates the initial panels (see _first_panels: near, the
+    # roots if known, only grades them) in that call too.
+    arc, a, b = _first_panels(arcs, near)
     whole = None
     total = 0.0 + 0.0j
     spent = 0
@@ -692,21 +726,31 @@ def _contour_integral(basis: OpucBasis, eta: np.ndarray, arcs):
     return complex(total + np.sum(whole)), False
 
 
-def count_by_argument_principle(basis: OpucBasis, eta, region: Region) -> int:
+def count_by_argument_principle(basis: OpucBasis, eta, region: Region,
+                                near=None) -> int:
     """Winding of sum eta_k phi_k around the region boundary; refuses
     non-integer results.
 
     The boundary arcs are integrated by locally adaptive composite
     Gauss-Legendre panels, on the row that roots solves (see _coefficients).
-    A result farther than 0.1 from an integer, panels that never stabilize,
-    or more than _PANEL_BUDGET panels raise BoundaryProximity -- the signal
-    that a zero sits essentially on the boundary.  Coefficients that are
-    not one finite vector of basis.order + 1 entries raise UsageError.
+    near, points where the zeros are thought to be (the roots of the row,
+    say), only grades the first panels toward them (see _first_panels):
+    the rule, the acceptance test and the limits stay, so a wrong hint
+    costs only time.  A result farther than 0.1 from an integer, panels
+    that never stabilize, or more than _PANEL_BUDGET panels raise
+    BoundaryProximity -- the signal that a zero sits essentially on the
+    boundary.  Coefficients that are not one finite vector of
+    basis.order + 1 entries, or a hint that is not all finite, raise
+    UsageError.
     """
+    if near is not None:
+        near = np.asarray(near, dtype=np.complex128).ravel()
+        if not np.isfinite(near).all():
+            raise UsageError("hint points must be finite, got NaN or infinity")
     (eta,), (refused,) = _coefficients(basis, eta, (1,))
     if refused:
         raise refused
-    total, settled = _contour_integral(basis, eta, region.boundary_arcs())
+    total, settled = _contour_integral(basis, eta, region.boundary_arcs(), near)
     w = total / (2j * math.pi)
     if not settled or not np.isfinite(w) \
             or abs(w - round(w.real)) > INTEGER_SLACK:

@@ -301,6 +301,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "--ns"),
         (("intensity", "--alphas", "zero", "--n", "4", "--z", "spam"), "--z"),
         (("basis", "--alphas", "nonsense:3", "--n", "4"), "nonsense"),
+        # weight:jacobi takes angle-exponent pairs, so an odd token count
+        (("basis", "--alphas", "weight:jacobi:1:0.5:1.01", "--n", "4"),
+         "weight:jacobi:1:0.5:1.01"),
         # non-finite numbers are refused before any work starts
         (("variance-limit", "--s", "0.1", "--t", "0.5", "--method", "series",
           "--tol", "nan"), "--tol"),
@@ -391,7 +394,7 @@ def test_computation_error_exit_1(capsys):
 
 def test_audit_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mc, "count_by_argument_principle",
-                        lambda basis, eta, region:
+                        lambda basis, eta, region, near=None:
                         count_in_region(roots(basis, eta), region) + 1)
     code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "8",
                        "--region", "annulus:0:0.5", "--trials", "120",

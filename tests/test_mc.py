@@ -618,7 +618,7 @@ def test_peak_rss_in_mb_or_none(monkeypatch):
 
 
 def test_audit_mismatch_fails_the_ensemble(monkeypatch):
-    def off_by_one(basis, eta, region):
+    def off_by_one(basis, eta, region, near=None):
         return count_in_region(roots(basis, eta), region) + 1
 
     monkeypatch.setattr(mc, "count_by_argument_principle", off_by_one)
@@ -634,7 +634,7 @@ def test_audit_mismatch_fails_the_ensemble(monkeypatch):
         convergence_study(alpha_family("zero"), coeff_model("gaussian"),
                           QUARTER, [10, 20], trials=40, seed=5, workers=1)
 
-    def unsettled(basis, eta, region):
+    def unsettled(basis, eta, region, near=None):
         raise BoundaryProximity("a zero sits near the boundary")
 
     monkeypatch.setattr(mc, "count_by_argument_principle", unsettled)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from opucz import zerocount
+from opucz import opuc, zerocount
 from opucz.errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
     NotPositiveDefinite,
-    QuadratureNotConverged,
     UsageError,
 )
 from opucz.opuc import (
@@ -477,18 +476,20 @@ def test_jacobi_pi_moments_match_closed_form():
     assert np.max(np.abs(c[1:] - want)) < 1e-13
 
 
-def _mp_moment(theta, e, k):
-    """int_0^2pi |t - theta|^e exp(-ik t) dt in mpmath, tanh-sinh on pieces
-    that end at theta, where the power is singular, and are short enough
-    for the oscillation."""
-    theta = mpmath.mpf(theta)
-    edges = sorted({mpmath.mpf(0), theta, 2 * mpmath.pi})
+def _mp_moment(thetas, es, k):
+    """int_0^2pi prod_j |t - theta_j|^e_j exp(-ik t) dt in mpmath, tanh-sinh
+    on pieces that end at the angles, where the powers are singular, and
+    are short enough for the oscillation."""
+    thetas = [mpmath.mpf(theta) for theta in thetas]
+    edges = sorted({mpmath.mpf(0), *thetas, 2 * mpmath.pi})
     pts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = int(max(1, mpmath.ceil((hi - lo) * (k + 1) / 2)))
         pts += [lo + (hi - lo) * j / m for j in range(m)]
     pts.append(2 * mpmath.pi)
-    return mpmath.quad(lambda t: abs(t - theta) ** e * mpmath.expj(-k * t), pts)
+    return mpmath.quad(lambda t: mpmath.fprod(abs(t - theta) ** e for theta, e
+                                              in zip(thetas, es))
+                       * mpmath.expj(-k * t), pts)
 
 
 @pytest.mark.parametrize("theta,e", [(math.pi, 0.5), (math.pi, 0.25),
@@ -498,9 +499,9 @@ def test_jacobi_moments_against_mpmath(theta, e):
     # rule with that exponent
     c = moments_from_weight(WeightSpec.generalized_jacobi([theta], [e]), 40)
     with mpmath.workdps(30):
-        c0 = _mp_moment(theta, e, 0)
+        c0 = _mp_moment([theta], [e], 0)
         for k in (1, 2, 7, 40):
-            want = complex(_mp_moment(theta, e, k) / c0)
+            want = complex(_mp_moment([theta], [e], k) / c0)
             assert abs(c[k] - want) < 1e-13, k
 
 
@@ -514,12 +515,69 @@ def test_jacobi_exponent_below_one_builds(spec):
         assert a.shape == (n,) and np.all(np.abs(a) < 1)
 
 
-def test_moments_refuse_a_kink_inside_a_panel():
-    # a second angle 1e-6 past the first puts |theta - 1|^0.5 just outside
-    # the next piece's first panel: the two panel rules disagree
-    w = WeightSpec.generalized_jacobi([1.0, 1.0 + 1e-6], [0.5, 0.5])
-    with pytest.raises(QuadratureNotConverged):
-        moments_from_weight(w, 12)
+@pytest.mark.parametrize("gap,count", [(1e-6, 12), (0.01, 25)])
+def test_moments_grade_panels_toward_a_close_angle(gap, count):
+    # a second angle just past the first puts |theta - 1|^0.5 just outside
+    # the next piece's first panel, and |theta - 1 - gap|^0.5 just outside
+    # the previous piece's last: those end panels are split toward their
+    # angles, and the moments match mpmath's
+    w = WeightSpec.generalized_jacobi([1.0, 1.0 + gap], [0.5, 0.5])
+    c = moments_from_weight(w, count)
+    with mpmath.workdps(30):
+        c0 = _mp_moment(w.thetas, w.exponents, 0)
+        for k in (1, 2, 7, count):
+            want = complex(_mp_moment(w.thetas, w.exponents, k) / c0)
+            assert abs(c[k] - want) < 1e-14, k
+
+
+def test_close_angles_build_at_every_degree():
+    # angles (1, 1.01) with exponents 0.5 were refused at n = 25, where the
+    # neighbouring pieces' end panels carried the other angle's singularity
+    # 0.01 beyond them, and built at n = 200 and 800
+    fam = alpha_family("weight:jacobi:1:0.5:1.01:0.5")
+    for n in (12, 25, 200, 800):
+        a = fam.alphas(n)
+        assert a.shape == (n,) and np.all(np.abs(a) < 1)
+
+
+def _uniform_panel_moments(w, count):
+    """moments_from_weight with every piece cut into equal panels whatever
+    its neighbouring angles: the rule before end panels were graded."""
+    cuts = sorted({0.0, 2 * np.pi, *w.thetas.tolist()})
+    ends = [float(w.exponents[w.thetas == c].sum()) for c in cuts]
+    c = np.zeros((2, count + 1), dtype=np.complex128)
+    for lo, hi, b, a in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:]):
+        n = math.ceil((hi - lo) * (count + 1) / 16.0)
+        half = (hi - lo) / (2 * n)
+        centres = lo + half * np.arange(1, 2 * n, 2)
+        groups = ([(centres, a, b)] if n == 1 else [(centres[:1], 0.0, b),
+                  (centres[1:-1], 0.0, 0.0), (centres[-1:], a, 0.0)])
+        for cs, ea, eb in groups:
+            outer = opuc._phases(cs, count)
+            for r, q in enumerate((16, 24)):
+                x, g = gauss_jacobi(q, ea, eb)
+                th = cs[:, None] + half * x
+                f = w.evaluate(th) / ((hi - th) ** ea * (th - lo) ** eb)
+                local = opuc._phases(half * x, count).view(np.float64)
+                inner = np.einsum("pm,mk->pk", f * (g * half ** (1.0 + ea + eb)),
+                                  local).view(np.complex128)
+                c[r] += np.sum(outer * inner, axis=0)
+    return (c / c[:, :1].real)[1]
+
+
+@pytest.mark.parametrize("thetas,exponents", [([math.pi], [1.0]), ([1.0], [0.5]),
+                                              ([0.0], [2.0]), ([1.0, 4.0], [0.5, 1.5])])
+def test_weights_without_close_angles_keep_their_panels(thetas, exponents):
+    # no other angle within one panel length of a piece: its equal panels
+    # and its bits stay, and a one-pair family spec gives the same alphas
+    w = WeightSpec.generalized_jacobi(thetas, exponents)
+    for count in (1, 12, 200):
+        assert np.array_equal(moments_from_weight(w, count),
+                              _uniform_panel_moments(w, count)), count
+    if len(thetas) == 1:
+        spec = f"weight:jacobi:{thetas[0]!r}:{exponents[0]!r}"
+        assert np.array_equal(alpha_family(spec).alphas(40), levinson_verblunsky(
+            _uniform_panel_moments(w, 40)))
 
 
 def _beta_moment(j, a, b):
@@ -661,7 +719,8 @@ def test_family_grammar():
 
 def test_family_grammar_rejects_junk():
     for bad in ("", "nope", "constant", "constant:1.0", "decay:1", "weight:box",
-                "decay:1:0", "weight:jacobi:1"):
+                "decay:1:0", "weight:jacobi:1", "weight:jacobi:1:0.5:4",
+                "weight:jacobi:1:0.5:4:1.5:2"):
         with pytest.raises(UsageError):
             alpha_family(bad)
 
@@ -670,6 +729,10 @@ def test_weight_family_matches_direct_pipeline():
     fam = alpha_family("weight:cosine")
     direct = levinson_verblunsky(moments_from_weight(WeightSpec.cosine_bump(), 6))
     assert fam.alphas(6) == pytest.approx(direct, abs=1e-12)
+    # one weight:jacobi angle-exponent pair per singular angle
+    w = WeightSpec.generalized_jacobi([1.0, 4.0], [0.5, 1.5])
+    assert np.array_equal(alpha_family("weight:jacobi:1:0.5:4:1.5").alphas(30),
+                          levinson_verblunsky(moments_from_weight(w, 30)))
 
 
 def test_alpha_file_roundtrip(tmp_path):

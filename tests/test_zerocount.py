@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import opucz.mc as mc
 import opucz.opuc as opuc
 import opucz.zerocount as zerocount
 from opucz.errors import (
@@ -1147,6 +1148,113 @@ def test_audit_saves_one_evaluation(monkeypatch):
     calls.clear()
     _contour_integral_oracle(basis, eta, _closure_arcs(region), [])
     assert got == len(calls) - 1
+
+
+_SWEEP_REGIONS = [Region.annulus(0.3, 0.6), Region.annulus(0.8, 0.95),
+                  Region.annulus(1.5, 2), Region.sector(0.5, 0, math.pi / 2),
+                  Region.sector(0.7, 1.0, 3.0)]
+
+
+def _audit_outcome(basis, eta, region, near):
+    try:
+        return count_by_argument_principle(basis, eta, region, near)
+    except BoundaryProximity as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
+                                 "weight:cosine", "constant:0.2", "constant:0.5"])
+def test_graded_audit_keeps_every_outcome(fam):
+    # the roots only grade the audit's first panels: no count or refusal
+    # moves, and neither does it for a wrong hint -- the roots shifted by
+    # 0.05, another row's roots, no points, or every root twice.  The
+    # refusals are the mass points of constant:0.2 and 0.5 on the ray arg 0
+    for n in (25, 100, 200):
+        basis = alpha_family(fam).build(n)
+        etas = np.array([sample_poly(basis, coeff_model("gaussian"), trial_seed(7, t))
+                         for t in range(2)])
+        (z0, z1) = (zs.roots for zs in roots(basis, etas))
+        for region in _SWEEP_REGIONS:
+            want = _audit_outcome(basis, etas[1], region, None)
+            assert _audit_outcome(basis, etas[1], region, z1) == want, (n, region)
+            want = _audit_outcome(basis, etas[0], region, None)
+            for near in (z0, z0 + 0.05, z1, np.zeros(0), np.repeat(z0, 2)):
+                assert _audit_outcome(basis, etas[0], region, near) == want, (n, region)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_hint_is_refused_before_evaluation(monkeypatch, bad):
+    def no_evaluation(*args, **kw):
+        raise AssertionError("evaluated before refusing the hint")
+
+    monkeypatch.setattr(zerocount, "eval_poly", no_evaluation)
+    with pytest.raises(UsageError, match="hint points must be finite"):
+        count_by_argument_principle(*_plain([-0.5, 1.0]), Region.annulus(0.3, 0.6),
+                                    [0.5, bad])
+
+
+def test_graded_first_panels_refine_the_uniform_ones():
+    # every arc's first panels tile [0, 1], hold every breakpoint k/8 of
+    # the eight equal panels, are at most 2^_GRADE_HALVINGS times as many,
+    # and none is shorter than _GRADE_FLOOR unless it is one of the eight.
+    # A hint on the contour spends every halving there; no hint, or none
+    # at all, leaves the eight equal panels bit for bit
+    basis = alpha_family("zero").build(100)
+    z = roots(basis, sample_poly(basis, coeff_model("gaussian"), trial_seed(42, 0))).roots
+    for region in [*_CONTOURS, Region.annulus(0.004, 0.5)]:
+        arcs = region.boundary_arcs()
+        k = np.arange(len(arcs))
+        speed = np.abs(zerocount._arc_points(arcs, k, np.zeros(1))[1][:, 0])
+        on_contour = zerocount._arc_points(arcs, k, np.array([0.3]))[0][:, 0]
+        uniform = zerocount._first_panels(arcs, None)
+        assert uniform[0].size == 8 * len(arcs)
+        for same in zerocount._first_panels(arcs, np.zeros(0)), uniform:
+            assert all(np.array_equal(x, y) for x, y in zip(same, uniform))
+        for near in (z, z + 0.05, on_contour):
+            arc, a, b = zerocount._first_panels(arcs, near)
+            for j in k:
+                lo, hi = np.sort(a[arc == j]), np.sort(b[arc == j])
+                assert lo[0] == 0.0 and hi[-1] == 1.0 and np.array_equal(lo[1:], hi[:-1])
+                assert set((np.arange(8) / 8).tolist()) <= set(lo.tolist())
+                assert lo.size <= 8 * 2 ** zerocount._GRADE_HALVINGS
+                length = speed[j] * (hi - lo)
+                assert np.all((length >= zerocount._GRADE_FLOOR)
+                              | (hi - lo == 0.125)), region
+                if near is on_contour:  # halved as often as the cap and floor allow
+                    halvings = min(zerocount._GRADE_HALVINGS,
+                                   int(math.log2(speed[j] / 8 / zerocount._GRADE_FLOOR)))
+                    assert np.min(hi - lo) == 0.125 / 2 ** max(halvings, 0), region
+
+
+def test_graded_audit_takes_fewer_evaluations(monkeypatch):
+    # timing-free cost guard on the benchmark's audit: zero at n = 100 over
+    # A(0.3, 0.6), trial 0 of seeds 0..19, audited by mc as it audits a
+    # block (graded by the certified roots) against the audit without a
+    # hint.  The median number of panel evaluations must fall, and no
+    # trial may spend more panels than the uniform audit plus the most the
+    # grading can add to the first level (each new panel with its halves)
+    basis = alpha_family("zero").build(100)
+    model, region = coeff_model("gaussian"), Region.annulus(0.3, 0.6)
+    log = []
+    inner = zerocount._panel_integrals
+
+    def counting(basis, eta, arcs, arc, a, b):
+        log.append(a.size)
+        return inner(basis, eta, arcs, arc, a, b)
+
+    monkeypatch.setattr(zerocount, "_panel_integrals", counting)
+    cap = 3 * 8 * (2 ** zerocount._GRADE_HALVINGS - 1) * len(region.boundary_arcs())
+    graded, uniform = [], []
+    for seed in range(20):
+        log.clear()
+        mc._block_counts((basis, model, region, seed, 0, 1))
+        graded.append((len(log), sum(log)))
+        log.clear()
+        count_by_argument_principle(
+            basis, sample_poly(basis, model, trial_seed(seed, 0)), region)
+        uniform.append((len(log), sum(log)))
+    assert np.median([c for c, _ in graded]) < np.median([c for c, _ in uniform])
+    assert all(g <= u + cap for (_, g), (_, u) in zip(graded, uniform))
 
 
 @pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
