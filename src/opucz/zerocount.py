@@ -75,7 +75,6 @@ _MAX_DEPTH = 44  # panel width floor 0.125 * 2^-47 when graded, above parameter 
 # about 950 (A(0.8, 0.95), n = 200), refusals the whole budget
 _PANEL_BUDGET = 5_000
 # how the contour count's first panels are graded toward a hint (see _first_panels)
-_GRADE_FACTOR = 1.0
 _GRADE_HALVINGS = 3
 _GRADE_FLOOR = 1e-3
 _CHUNK_POINTS = 2 ** 15  # pairwise terms per chunk: 512 KB complex, 256 KB real
@@ -339,8 +338,8 @@ def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
     model only proposes starts: the roots are settled and certified through
     eval_poly on eta.  A row keeps the circle start where the model is not
     to be trusted: its samples spread by more than 1/sqrt(eps), so the
-    coefficients hold fewer than half their digits, or its first step or
-    the iteration on the model ended with a non-finite point.
+    coefficients hold fewer than half their digits, or the iteration on
+    the model, first step included, ended with a non-finite point.
 
     The model stage lets a root go once its Newton correction N on the
     model is at most _MODEL_STEP = 1e-8 of max(1, |z|), and moves it by
@@ -354,14 +353,11 @@ def _starts(basis: OpucBasis, etas: np.ndarray) -> np.ndarray:
     z = _circle(etas.shape[0], basis.order)
     coefs, spread = _monomial_coefficients(basis, etas)
     model = np.flatnonzero(spread <= _MODEL_SPREAD)  # a NaN spread fails
-    if model.size:
-        z1 = _circle_step(coefs[model])
-        ok = np.isfinite(z1).all(axis=1)
-        model, cm = model[ok], coefs[model[ok]]
-        zm = _aberth(functools.partial(_horner, cm, table=_horner_table(cm)),
-                     z1[ok], finish=True)[0]
-        fine = np.isfinite(zm).all(axis=1)
-        z[model[fine]] = zm[fine]
+    cm = coefs[model]
+    zm = _aberth(functools.partial(_horner, cm, table=_horner_table(cm)),
+                 _circle_step(cm), finish=True)[0]
+    fine = np.isfinite(zm).all(axis=1)
+    z[model[fine]] = zm[fine]
     return z
 
 
@@ -656,10 +652,10 @@ def _panel_integrals(basis: OpucBasis, eta: np.ndarray, arcs, arc, a, b):
 
 def _first_panels(arcs: np.ndarray, near):
     """The first level's panels (arc, a, b): eight equal ones per boundary
-    row, each halved while it is longer than _GRADE_FACTOR times the
-    distance from its midpoint to the nearest point of near, at most
-    _GRADE_HALVINGS times and never below _GRADE_FLOOR in length.  Halving
-    only adds breakpoints: those of the eight equal panels all stay."""
+    row, each halved while it is longer than the distance from its
+    midpoint to the nearest point of near, at most _GRADE_HALVINGS times
+    and never below _GRADE_FLOOR in length.  Halving only adds
+    breakpoints: those of the eight equal panels all stay."""
     arc = np.repeat(np.arange(len(arcs)), 8)
     a = np.tile(np.linspace(0.0, 1.0, 9)[:-1], len(arcs))
     b = a + 0.125
@@ -671,7 +667,7 @@ def _first_panels(arcs: np.ndarray, near):
         mid = 0.5 * (a + b)
         length = speed[arc] * (b - a)
         dist = np.abs(_arc_points(arcs, arc, mid[:, None])[0] - near).min(axis=1)
-        split = (length > _GRADE_FACTOR * dist) & (0.5 * length >= _GRADE_FLOOR)
+        split = (length > dist) & (0.5 * length >= _GRADE_FLOOR)
         if not split.any():
             break
         keep = ~split

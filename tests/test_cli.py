@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import shlex
 import sys
 
 import numpy as np
@@ -521,48 +523,53 @@ def test_region_grammar_total():
             parse_region(bad)
 
 
+# the exact output of the README's commands (simulate and convergence
+# with fewer trials and degrees); any change to these bytes is deliberate
+README_PRINTED = {
+    ("variance-limit", "--s", "0.3", "--t", "0.6", "--method", "closed"):
+        "0.373505518735\n",
+    ("basis", "--alphas", "decay:1:1", "--n", "12", "--report"):
+        "k,epsilon_k,nevai_proxy\n"
+        "1,0.143841036226,0.8\n"
+        "2,0.101366277027,0.56437347549\n"
+        "3,0.0783339382076,0.454222700231\n"
+        "4,0.0638532029707,0.389893210352\n"
+        "5,0.0538996500733,0.347826086957\n"
+        "6,0.0466346489946,0.309090909091\n"
+        "7,0.0410974389217,0.274247491639\n"
+        "8,0.0367366665564,0.244509516837\n"
+        "9,0.0332131667086,0.219570405728\n"
+        "10,0.0303067901785,0.198711063373\n"
+        "11,0.0278683851312,0.181188690133\n"
+        "12,0.0257933003503,0.166358106321\n",
+    ("kernel", "--alphas", "zero", "--n", "100", "--z", "0.3", "--w",
+     "0.2+0.1j", "--route", "cd"):
+        "K 1.06274731487-0.0339174674958j\n"
+        "K01 0.338484438197-0.0216274185049j\n"
+        "K11 1.2649844097-0.157675377477j\n",
+    ("intensity", "--alphas", "decay:1:1", "--n", "160", "--z", "0.5"):
+        "0.56568278812\n",
+    ("intensity", "--limit", "--z", "0.2", "--w", "-0.3"):
+        "0.052506504717\n",
+}
+
+README_SIMULATE = ("simulate", "--alphas", "zero", "--n", "100",
+                   "--model", "gaussian", "--region", "annulus:0:0.5",
+                   "--trials", "200", "--seed", "42")
+README_CONVERGENCE = ("convergence", "--alphas", "zero", "--region",
+                      "sector:0.5:0:pi/2", "--ns", "10,20", "--trials", "40",
+                      "--seed", "42")
+
+
 def test_readme_commands_golden(tmp_path, capsys):
-    # the exact output of the README's commands (simulate and convergence
-    # with fewer trials and degrees); any change to these bytes is deliberate
-    printed = {
-        ("variance-limit", "--s", "0.3", "--t", "0.6", "--method", "closed"):
-            "0.373505518735\n",
-        ("basis", "--alphas", "decay:1:1", "--n", "12", "--report"):
-            "k,epsilon_k,nevai_proxy\n"
-            "1,0.143841036226,0.8\n"
-            "2,0.101366277027,0.56437347549\n"
-            "3,0.0783339382076,0.454222700231\n"
-            "4,0.0638532029707,0.389893210352\n"
-            "5,0.0538996500733,0.347826086957\n"
-            "6,0.0466346489946,0.309090909091\n"
-            "7,0.0410974389217,0.274247491639\n"
-            "8,0.0367366665564,0.244509516837\n"
-            "9,0.0332131667086,0.219570405728\n"
-            "10,0.0303067901785,0.198711063373\n"
-            "11,0.0278683851312,0.181188690133\n"
-            "12,0.0257933003503,0.166358106321\n",
-        ("kernel", "--alphas", "zero", "--n", "100", "--z", "0.3", "--w",
-         "0.2+0.1j", "--route", "cd"):
-            "K 1.06274731487-0.0339174674958j\n"
-            "K01 0.338484438197-0.0216274185049j\n"
-            "K11 1.2649844097-0.157675377477j\n",
-        ("intensity", "--alphas", "decay:1:1", "--n", "160", "--z", "0.5"):
-            "0.56568278812\n",
-        ("intensity", "--limit", "--z", "0.2", "--w", "-0.3"):
-            "0.052506504717\n",
-    }
-    for argv, expected in printed.items():
+    for argv, expected in README_PRINTED.items():
         code, out, err = run(capsys, *argv)
         assert (code, out) == (0, expected), (argv, err)
 
     sim, conv = tmp_path / "run1", tmp_path / "conv1"
-    code, _, err = run(capsys, "simulate", "--alphas", "zero", "--n", "100",
-                       "--model", "gaussian", "--region", "annulus:0:0.5",
-                       "--trials", "200", "--seed", "42", "--out", str(sim))
+    code, _, err = run(capsys, *README_SIMULATE, "--out", str(sim))
     assert code == 0, err
-    code, _, err = run(capsys, "convergence", "--alphas", "zero", "--region",
-                       "sector:0.5:0:pi/2", "--ns", "10,20", "--trials", "40",
-                       "--seed", "42", "--out", str(conv))
+    code, _, err = run(capsys, *README_CONVERGENCE, "--out", str(conv))
     assert code == 0, err
     digests = {suffix: hashlib.sha256(
         (tmp_path / f"{stem}{suffix}").read_bytes()).hexdigest()
@@ -576,3 +583,46 @@ def test_readme_commands_golden(tmp_path, capsys):
         ".svg":
             "b80a5346ef1bb942d3e3b73c88478fbe7ad981073be5ac85bdcbe64fedad90ba",
     }
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading):
+    """The info string and body of the first fenced block under heading."""
+    text = README.read_text(encoding="utf-8")
+    fenced = text[text.index(f"\n{heading}\n"):].split("```")[1]
+    lang, body = fenced.split("\n", 1)
+    return lang, body
+
+
+def _without(argv, *flags):
+    """argv less each of flags and the value after it."""
+    drop = {i + k for i, a in enumerate(argv) if a in flags for k in (0, 1)}
+    return tuple(a for i, a in enumerate(argv) if i not in drop)
+
+
+def test_readme_command_line_is_the_golden_commands():
+    # the README's command block is what test_readme_commands_golden
+    # freezes: its printing commands as they are, its two runs with other
+    # --trials, --ns and --out
+    _, body = _readme_block("## Command line")
+    lines = [shlex.split(line) for line in
+             body.replace("\\\n", " ").splitlines() if line.strip()]
+    assert all(line[0] == "opucz" for line in lines)
+    argvs = [tuple(line[1:]) for line in lines]
+    assert argvs[:5] == list(README_PRINTED)
+    runs = {argv[0]: argv for argv in argvs[5:]}
+    assert len(argvs) == 7 and set(runs) == {"simulate", "convergence"}
+    assert _without(runs["simulate"], "--trials", "--out") == \
+        _without(README_SIMULATE, "--trials")
+    assert _without(runs["convergence"], "--trials", "--ns", "--out") == \
+        _without(README_CONVERGENCE, "--trials", "--ns")
+
+
+def test_readme_library_tour_runs(capsys):
+    # the tour as written, so it names no function or argument that is gone
+    lang, body = _readme_block("## Library tour")
+    assert lang == "python"
+    exec(compile(body, str(README), "exec"), {})
+    assert " vs " in capsys.readouterr().out

@@ -1308,6 +1308,8 @@ def test_row_with_vanishing_model_derivative_keeps_the_circle(monkeypatch, n):
                         lambda basis, etas: (coefs, spread))
     got = zerocount._starts(basis, etas)
     assert _bits(got[bad]) == _bits(zerocount._circle(len(bad), n))
+    spread[:] = np.inf  # no row passes the spread guard: an empty model set
+    assert _bits(zerocount._starts(basis, etas)) == _bits(zerocount._circle(4, n))
     monkeypatch.setattr(zerocount, "_monomial_coefficients", sample)
     for k in sorted({0, 1, 2, 3} - set(bad)):
         alone = zerocount._starts(basis, etas[k:k + 1])
