@@ -63,10 +63,9 @@ def _abs_r(basis: OpucBasis, points, n: int):
     """|R| of M = QR, M the columns phi(z_i) then phi'(z_i) over phi_0..phi_n,
     padded with zero rows to at least as many rows as columns."""
     k = len(points)
-    vals = [basis.values_at(z, upto=n, derivs=True) for z in points]
     m = np.zeros((max(n + 1, 2 * k), 2 * k), dtype=np.complex128)
-    for i, v in enumerate(vals):
-        m[:n + 1, i], m[:n + 1, k + i] = v[0], v[2]
+    for i, z in enumerate(points):
+        m[:n + 1, i], m[:n + 1, k + i] = basis.derivs_at(z, n, columns=True)
     if not np.all(np.isfinite(m)):
         raise ComputationError(
             f"phi_j or phi_j' overflows for some j <= {n} at {points}")

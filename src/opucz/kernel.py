@@ -19,9 +19,12 @@ where phi = phi_{n+1}, phi* its reversal, and
     S(z, w) = conj(phi*'(w)) phi*(z) - conj(phi'(w)) phi(z)
     R(z, w) = conj(phi*'(w)) phi*'(z) - conj(phi'(w)) phi'(z).
 
-Both routes take their phi values from the recursion in value space
-(OpucBasis.values_at).  The intensities do not go through these sums: they
-condition on the same values by one QR factorisation (see intensity).
+Both routes run the recursion in value space.  kernel_direct reads its
+columns from OpucBasis.values_at and stays there, the reference route
+kernel_cd is checked against; kernel_cd reads only the values at degree
+n+1, from OpucBasis.derivs_at, which keeps no column.  The intensities do
+not go through these sums: they condition on the same values by one QR
+factorisation (see intensity).
 
 The closed forms break down on the curve z conj(w) = 1; within 1e-8 of it
 kernel_cd refuses and callers use kernel_direct instead.
@@ -82,8 +85,8 @@ def kernel_cd(basis: OpucBasis, z, w, n: int = None) -> KernelEval:
         raise NearDiagonalSingularity(
             f"|1 - z conj(w)| = {abs(u):.3e} <= {CD_GUARD}; use kernel_direct")
     m = n + 1
-    pz, psz, dpz, dpsz = (v[m] for v in basis.values_at(z, upto=m, derivs=True))
-    pw, psw, dpw, dpsw = (v[m] for v in basis.values_at(w, upto=m, derivs=True))
+    pz, psz, dpz, dpsz = basis.derivs_at(z, m)
+    pw, psw, dpw, dpsw = basis.derivs_at(w, m)
     S = np.conj(dpsw) * psz - np.conj(dpw) * pz
     R = np.conj(dpsw) * dpsz - np.conj(dpw) * dpz
     Swz = np.conj(dpsz) * psw - np.conj(dpz) * pw

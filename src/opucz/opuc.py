@@ -89,8 +89,8 @@ class OpucBasis:
     once, here, with one rounding, and every evaluator reads them:
     rho_j = sqrt(1 - |alpha_j|^2) (rho), conj(alpha_j) (alpha_bar), and
     the Python triples (alpha_j, conj(alpha_j), 1 / rho_j) (steps) that
-    values_at and eval_poly walk.  The leading coefficients come from them
-    too: kappa_0 = 1 and kappa_{j+1} = kappa_j / rho_j.
+    values_at, derivs_at and eval_poly walk.  The leading coefficients come
+    from them too: kappa_0 = 1 and kappa_{j+1} = kappa_j / rho_j.
     """
 
     alphas: np.ndarray
@@ -137,6 +137,28 @@ class OpucBasis:
             ps.append(g)
         vals = (phi, ps, dphi, dps) if derivs else (phi, ps)
         return tuple(np.array(v, dtype=np.complex128) for v in vals)
+
+    def derivs_at(self, z: complex, upto: int, columns: bool = False):
+        """phi, phi*, phi' and phi*' at degree upto alone, at a finite z.
+
+        values_at's recursion with its expressions in the same order, so
+        every value has its bits, but only the running values are kept.
+        With columns, returns instead the lists phi_j(z) and phi_j'(z) for
+        j = 0..upto: the columns the intensities read.
+        """
+        if upto < 0 or upto > self.order:
+            raise UsageError(f"degree {upto} not held by a degree-{self.order} basis")
+        f = g = 1 + 0j
+        df = dg = 0j
+        phi, dphi = [f], [df]
+        for aj, caj, s in self.steps[:upto]:
+            d = f + z * df
+            df, dg = (d - caj * dg) * s, (dg - aj * d) * s
+            f, g = (z * f - caj * g) * s, (g - aj * z * f) * s
+            if columns:
+                phi.append(f)
+                dphi.append(df)
+        return (phi, dphi) if columns else (f, g, df, dg)
 
 
 def szego_build(alphas, n: int) -> OpucBasis:

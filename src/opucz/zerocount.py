@@ -372,8 +372,10 @@ def _aberth(evaluate, z0: np.ndarray, check=None, finish=False):
     (Bini, Numer. Algorithms 13, 1996).  An approximation settles, and stops
     moving, on a ground of ZeroSet: |P| within the rounding bound, or a
     Newton correction of at most STEP_ULPS ulps of max(1, |z|).  A row with
-    a non-finite approximation fails and leaves the iteration.  Returns z,
-    and P and the scale at each settled approximation, and which settled.
+    a non-finite approximation fails and leaves the iteration: with an
+    infinite start before its first evaluation, which would warn there
+    (1 / inf, inf - inf), and with a NaN start at its first step.  Returns
+    z, and P and the scale at each settled approximation, and which settled.
 
     finish=True, for the model stage of _starts alone, adds a third way to
     settle, a Newton correction N of at most _MODEL_STEP of max(1, |z|),
@@ -386,10 +388,10 @@ def _aberth(evaluate, z0: np.ndarray, check=None, finish=False):
     check(z, rows=rows), when given, gives P and the scale alone, with the
     bits evaluate gives them: every start is tested once against the
     rounding bound by it, and only the starts that fail reach evaluate, so
-    starts that are already roots cost no derivatives.  It is asked for the
-    whole block at once, z0 itself with rows of shape (T, 1), so each
-    degree reads T coefficients rather than one per start.  The result is
-    the same as without check.
+    starts that are already roots cost no derivatives.  It is asked for
+    every row without an infinite start at once, with rows of shape
+    (T, 1), so each degree reads T coefficients rather than one per start.
+    The result is the same as without check.
 
     The repulsion sums run over chunks of the live approximations (see
     _repulsion), never over an (n x live) array: each chunk's temporaries
@@ -401,11 +403,11 @@ def _aberth(evaluate, z0: np.ndarray, check=None, finish=False):
     scale = np.zeros(z.shape)
     settled = np.zeros(z.shape, dtype=bool)
     flat = z.reshape(-1)
-    failed = np.zeros(z.shape[0], dtype=bool)
-    live = np.arange(z.size)  # flat indices of moving approximations
+    failed = np.isinf(z).any(axis=1)
+    live = np.flatnonzero(np.repeat(~failed, n))  # flat indices of moving points
     if check is not None and live.size:
-        each_row = np.arange(z.shape[0])[:, None]
-        pl, sl = (x.reshape(-1) for x in check(z, rows=each_row))
+        each_row = np.flatnonzero(~failed)[:, None]
+        pl, sl = (x.reshape(-1) for x in check(z[~failed], rows=each_row))
         done = np.abs(pl) <= _roundoff(n, sl)
         at = live[done]
         p.flat[at], scale.flat[at] = pl[done], sl[done]

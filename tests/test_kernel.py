@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,19 @@ def test_cd_refuses_near_singular_curve():
     # direct route stays available at the same pair
     k = kernel_direct(b, z, w, n=5)
     assert np.isfinite(k.K)
+
+
+def test_cd_reads_only_the_top_values():
+    # kernel_cd keeps the running values of the recursion, not its columns:
+    # at n = 20,000 the columns of values_at would take about 4.4 MB
+    b = alpha_family("decay:1:1").build(20_001)
+    tracemalloc.start()
+    try:
+        kernel_cd(b, 0.3 + 0.2j, -0.5j, n=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_k01_matches_finite_difference():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from opucz import opuc, zerocount
+from opucz import intensity, kernel, opuc, zerocount
 from opucz.errors import (
     InsufficientCoefficients,
     InvalidVerblunsky,
     NotPositiveDefinite,
+    OpuczError,
     UsageError,
 )
 from opucz.opuc import (
@@ -122,6 +124,8 @@ def test_evaluators_take_no_square_root(monkeypatch):
     calls = (lambda: b.values_at(0.3 + 0.2j),
              lambda: b.values_at(1.4 - 0.3j, derivs=True),
              lambda: b.values_at(-0.9j, upto=40, derivs=True),
+             lambda: b.derivs_at(1.4 - 0.3j, 160, columns=True),
+             lambda: b.derivs_at(-0.9j, 40),
              lambda: eval_poly(b, eta, z),
              lambda: eval_poly(b, eta, z, derivs=True),
              lambda: (zerocount._comrade(b, eta),))
@@ -273,6 +277,52 @@ def test_values_at_bit_for_bit_against_numpy_scalar_oracle(fam):
                 for g, w in zip(got, want):
                     assert g.dtype == np.complex128
                     assert np.array_equal(g, w), (z, derivs, upto)
+        # derivs_at: the same recursion, keeping the columns phi and phi',
+        # or only the values at the top degree
+        for upto in (0, 1, 23, 60):
+            phi, ps, dphi, dps = _values_at_oracle(b, z, upto=upto, derivs=True)
+            cols = b.derivs_at(z, upto, columns=True)
+            assert all(np.array_equal(np.array(g, dtype=np.complex128), w)
+                       for g, w in zip(cols, (phi, dphi))), (z, upto)
+            top = np.array(b.derivs_at(z, upto), dtype=np.complex128)
+            assert np.array_equal(top, [phi[upto], ps[upto], dphi[upto], dps[upto]])
+
+
+def _derivs_at_from_values_at(basis, z, upto, columns=False):
+    """derivs_at read off values_at: phi and phi' are its rows 0 and 2, the
+    top values its entries at upto."""
+    phi, ps, dphi, dps = basis.values_at(z, upto=upto, derivs=True)
+    return (phi, dphi) if columns else (phi[upto], ps[upto], dphi[upto], dps[upto])
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_intensities_and_kernel_cd_bit_for_bit_against_values_at_route(
+        fam, monkeypatch):
+    # rho1_n, rho2_n and kernel_cd on their own pass give every value,
+    # refusal and coincident-pair zero of the same calls reading values_at;
+    # n = 0 and 61 are refused, and phi overflows at z = 1e7 by n = 60
+    b = alpha_family(fam).build(60)
+    pairs = [(z, w) for z in ORACLE_POINTS for w in ORACLE_POINTS]
+
+    def outputs():
+        out = []
+        for n in (0, 1, 2, 23, None, 61):
+            calls = [functools.partial(intensity.rho1_n, b, z, n)
+                     for z in ORACLE_POINTS + [1e7]]
+            calls += [functools.partial(f, b, z, w, n) for z, w in pairs
+                      for f in (intensity.rho2_n, kernel.kernel_cd)]
+            for call in calls:
+                try:
+                    out.append(repr(call()))
+                except OpuczError as exc:
+                    out.append(repr(exc))
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(OpucBasis, "derivs_at", _derivs_at_from_values_at)
+    assert got == outputs()
+    assert any("ComputationError" in g for g in got)
+    assert any("NearDiagonalSingularity" in g for g in got)
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
@@ -715,6 +765,12 @@ def test_family_grammar():
     assert d == pytest.approx([1 / 2, 1 / 3, 1 / 4, 1 / 5])
     d2 = alpha_family("decay:0.5:2").alphas(3)
     assert d2 == pytest.approx([0.5 / 4, 0.5 / 9, 0.5 / 16])
+    # the annulus limit asks for phi_k real on the real line, that is real
+    # alpha: these families give it, the weights up to their moments' rounding
+    for spec in ("zero", "constant:0.5", "decay:1:1", "weight:lebesgue",
+                 "weight:cosine", "weight:jacobi:pi:1", "weight:jacobi:pi:0.5"):
+        for n in (25, 100, 200):
+            assert np.abs(alpha_family(spec).alphas(n).imag).max() <= 1e-12, (spec, n)
 
 
 def test_family_grammar_rejects_junk():

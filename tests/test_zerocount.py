@@ -579,6 +579,31 @@ def test_aberth_bit_for_bit_against_per_column_oracle(fam, n, block):
             assert _bits(zs.radii) == _bits(r)
 
 
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.inf, np.nan),
+                                 complex(-np.inf, np.inf)])
+def test_aberth_fails_an_infinite_start_before_evaluating_it(bad):
+    # the row comes back unsettled, as it started, without a warning (the
+    # suite's filters make one an error); every other row keeps its bits,
+    # on the model with and without its last step and in the basis with
+    # its value-only check
+    basis = alpha_family("decay:1:1").build(30)
+    etas = np.array([sample_poly(basis, coeff_model("gaussian"),
+                                 trial_seed(3, t)) for t in range(4)])
+    coefs, _ = zerocount._monomial_coefficients(basis, etas)
+    model = functools.partial(zerocount._horner, coefs,
+                              table=zerocount._horner_table(coefs))
+    in_basis = dict(evaluate=functools.partial(eval_poly, basis, etas, derivs=True),
+                    check=functools.partial(eval_poly, basis, etas))
+    z0 = zerocount._circle(4, 30)
+    z0[1, 5] = bad
+    for kw in (dict(evaluate=model), dict(evaluate=model, finish=True), in_basis):
+        want = zerocount._aberth(z0=zerocount._circle(4, 30), **kw)
+        got = zerocount._aberth(z0=z0, **kw)
+        assert _bits(got[0][1]) == _bits(z0[1]) and not got[3][1].any()
+        for g, w in zip(got, want):
+            assert _bits(g[[0, 2, 3]]) == _bits(w[[0, 2, 3]])
+
+
 @pytest.mark.parametrize("fam", ["zero", "decay:1:1", "weight:jacobi:pi:1",
                                  "constant:0.5"])
 @pytest.mark.parametrize("n", [37, 200, 800])
